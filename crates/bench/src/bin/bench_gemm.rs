@@ -28,15 +28,21 @@
 //! an FNV-1a digest and written to `<path>`, one line per cell. The file
 //! is a pure function of the computed bits, so `scripts/ci.sh` runs it
 //! under `LORAFUSION_SIMD=0` and under the default and diffs the two —
-//! the bitwise dual-path gate.
+//! the bitwise dual-path gate. The digest mode also covers the fused LoRA
+//! GEMMs at the narrow rank-16 shapes, whose `A` operand is read in place
+//! or packed per block: the dropout+emit down-projection (`nn`, including
+//! a ragged row count), the mask-routed input gradient (`AddMasked`, `nt`)
+//! and both `tn` weight gradients.
 
 use std::time::Instant;
 
 use lorafusion_bench::{fmt, print_table, report, write_json};
-use lorafusion_tensor::matmul::{gemm_nn_on, gemm_nt_on, gemm_tn_on, Accumulate};
+use lorafusion_tensor::matmul::{
+    gemm_fused_on, gemm_nn_on, gemm_nt_on, gemm_tn_on, Accumulate, Epilogue, Prologue,
+};
 use lorafusion_tensor::microkernel::Layout;
 use lorafusion_tensor::pool::Pool;
-use lorafusion_tensor::{Matrix, Pcg32};
+use lorafusion_tensor::{DropoutSpec, Matrix, Pcg32};
 
 struct Row {
     layout: String,
@@ -125,6 +131,113 @@ fn time_config(
         .collect();
     times.sort_by(f64::total_cmp);
     (times[reps / 2], bits)
+}
+
+/// One fused LoRA GEMM of the digest mode.
+struct FusedCell {
+    label: &'static str,
+    layout: Layout,
+    shape: (usize, usize, usize),
+    /// Dropout applied to `A` as it is read, with `X̂` emitted.
+    dropout_emit: bool,
+    epilogue: Epilogue,
+}
+
+/// The fused LoRA GEMMs at the rank-16 shapes for base size `s`: the
+/// spellings the narrow-shape `A` feeds execute, digested with the output
+/// (and the emitted `X̂`) so the dual-path gate covers them bit for bit.
+fn fused_cells(s: usize) -> Vec<FusedCell> {
+    let spec = DropoutSpec::new(0.1, 11).with_row_offset(3);
+    let r = 16;
+    let cell = |label, layout, shape, dropout_emit, epilogue| FusedCell {
+        label,
+        layout,
+        shape,
+        dropout_emit,
+        epilogue,
+    };
+    vec![
+        cell(
+            "dropout+emit",
+            Layout::Nn,
+            (s, s, r),
+            true,
+            Epilogue::Overwrite,
+        ),
+        cell(
+            "dropout+emit",
+            Layout::Nn,
+            (s + 5, s, r),
+            true,
+            Epilogue::Overwrite,
+        ),
+        cell(
+            "addmasked",
+            Layout::Nt,
+            (s, r, s),
+            false,
+            Epilogue::AddMasked(spec),
+        ),
+        cell("da", Layout::Tn, (s, s, r), false, Epilogue::Add),
+        cell("db", Layout::Tn, (r, s, s), false, Epilogue::AddScaled(2.0)),
+    ]
+}
+
+/// Runs `cell` on every pool, asserts each thread count reproduces the
+/// serial bits, and returns one digest line per thread count.
+fn fused_cell_digests(cell: &FusedCell, pools: &[Pool], sweep: &[usize]) -> Vec<String> {
+    let (m, k, n) = cell.shape;
+    let mut rng = Pcg32::seeded(13);
+    let (a, b) = operands(cell.layout, m, k, n, &mut rng);
+    let base = Matrix::random_uniform(m, n, 1.0, &mut rng);
+    let spec = DropoutSpec::new(0.1, 17);
+    let mut serial_bits: Vec<u32> = Vec::new();
+    let mut lines = Vec::new();
+    for (pool, &threads) in pools.iter().zip(sweep) {
+        let mut c = base.clone();
+        let mut emit = vec![0.0f32; if cell.dropout_emit { a.len() } else { 0 }];
+        let prologue = if cell.dropout_emit {
+            Prologue {
+                dropout: Some(spec),
+                softmax_grad: None,
+                emit: Some(&mut emit),
+            }
+        } else {
+            Prologue::none()
+        };
+        gemm_fused_on(
+            pool,
+            cell.layout,
+            1.0,
+            &a,
+            &b,
+            &mut c,
+            prologue,
+            cell.epilogue,
+        )
+        .expect("fused cell shapes agree");
+        let bits: Vec<u32> = c
+            .as_slice()
+            .iter()
+            .chain(&emit)
+            .map(|v| v.to_bits())
+            .collect();
+        if threads == 1 {
+            serial_bits = bits.clone();
+        }
+        assert!(
+            bits == serial_bits,
+            "fused {} {m}x{k}x{n} diverged from serial output at t={threads}",
+            cell.label
+        );
+        lines.push(format!(
+            "{} {} {m}x{k}x{n} t={threads} {:016x}",
+            cell.layout.tag(),
+            cell.label,
+            fnv1a(&bits)
+        ));
+    }
+    lines
 }
 
 fn main() {
@@ -239,6 +352,9 @@ fn main() {
     }
 
     if let Some(path) = digest_path {
+        for cell in fused_cells(size) {
+            digest_lines.extend(fused_cell_digests(&cell, &pools, &sweep));
+        }
         let body = digest_lines.join("\n") + "\n";
         std::fs::write(&path, body).expect("failed to write digest file");
         println!(

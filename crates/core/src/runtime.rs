@@ -20,8 +20,9 @@ use lorafusion_kernels::multi::MultiLoraLayer;
 use lorafusion_kernels::{
     fused, multi, reference, AdapterWeights, LoraConfig, LoraGrads, Segment, TrafficModel,
 };
+use lorafusion_tensor::matmul::{gemm_windows_on, Epilogue, Layout, Prologue};
 use lorafusion_tensor::ops::{scale, sub};
-use lorafusion_tensor::{Matrix, Pcg32};
+use lorafusion_tensor::{pool, Matrix, Pcg32};
 
 use crate::optimizer::AdamW;
 
@@ -92,6 +93,13 @@ pub struct MultiAdapterTrainer {
     rng: Pcg32,
     k: usize,
     n: usize,
+    /// Step buffers reused across microbatches: the segment layout, the
+    /// regression targets, the loss gradient and the FusedMultiLoRA
+    /// workspace.
+    segs: Vec<Segment>,
+    y_true: Matrix,
+    dy: Matrix,
+    ws: multi::Workspace,
 }
 
 impl MultiAdapterTrainer {
@@ -140,6 +148,10 @@ impl MultiAdapterTrainer {
             rng,
             k: config.k,
             n: config.n,
+            segs: Vec::new(),
+            y_true: Matrix::zeros(0, 0),
+            dy: Matrix::zeros(0, 0),
+            ws: multi::Workspace::new(),
         }
     }
 
@@ -154,56 +166,95 @@ impl MultiAdapterTrainer {
     ///
     /// Segments are validated and assigned dropout offsets from each
     /// adapter's token cursor, guaranteeing token-to-adapter consistency
-    /// regardless of how the scheduler sliced the jobs.
+    /// regardless of how the scheduler sliced the jobs. Every executor
+    /// normalises the loss per segment: a segment's gradient is that of
+    /// its own mean squared error.
     pub fn step_microbatch(
         &mut self,
         x: &Matrix,
         segments: &[(usize, usize)], // (adapter, token count) runs.
     ) -> lorafusion_kernels::Result<BTreeMap<usize, f64>> {
         // Materialize segments with dropout offsets.
-        let mut segs = Vec::with_capacity(segments.len());
+        self.segs.clear();
         let mut cursor = 0usize;
         for &(adapter, len) in segments {
-            segs.push(Segment {
+            let offset = self.dropout_cursor.get(adapter).copied().unwrap_or(0);
+            self.segs.push(Segment {
                 adapter,
                 start: cursor,
                 end: cursor + len,
-                dropout_row_offset: self.dropout_cursor[adapter],
+                dropout_row_offset: offset,
             });
-            self.dropout_cursor[adapter] += len;
             cursor += len;
         }
-
-        // Targets: per segment, y_true = x_seg @ target_w.
-        let mut y_true = Matrix::zeros(x.rows(), self.n);
-        for seg in &segs {
-            let x_seg = x.slice_rows(seg.start, seg.end)?;
-            let t = lorafusion_tensor::matmul_nn(&x_seg, &self.targets[seg.adapter])?;
-            y_true.write_rows(seg.start, &t)?;
+        multi::validate_segments(&self.segs, x.rows(), self.layer.adapters.len())?;
+        if x.cols() != self.k {
+            return Err(lorafusion_kernels::KernelError::ShapeMismatch {
+                op: "step_microbatch",
+                lhs: x.shape(),
+                rhs: (x.rows(), self.k),
+            });
+        }
+        for seg in &self.segs {
+            self.dropout_cursor[seg.adapter] += seg.len();
         }
 
-        // Forward/backward through the selected executor.
-        let (y, grads, dx_unused) = match self.executor {
+        // Targets, per segment on row windows: y_true = x_seg @ target_w.
+        let (m, k, n) = (x.rows(), self.k, self.n);
+        self.y_true.resize(m, n);
+        for seg in &self.segs {
+            gemm_windows_on(
+                pool::current(),
+                Layout::Nn,
+                1.0,
+                &x.as_slice()[seg.start * k..seg.end * k],
+                self.targets[seg.adapter].as_slice(),
+                &mut self.y_true.as_mut_slice()[seg.start * n..seg.end * n],
+                seg.len(),
+                k,
+                n,
+                Prologue::none(),
+                Epilogue::Overwrite,
+            )?;
+        }
+
+        // Forward, loss gradient and backward through the selected
+        // executor, collecting each segment's MSE.
+        let mut seg_mse = Vec::with_capacity(self.segs.len());
+        match self.executor {
             ExecutorKind::FusedMulti => {
-                let fwd = multi::forward(&self.layer, x, &segs, &self.traffic)?;
-                let dy = loss_grad(&fwd.y, &y_true)?;
-                let bwd = multi::backward(&self.layer, &fwd.saved, &dy, &self.traffic)?;
-                (fwd.y, bwd.grads, bwd.dx)
+                self.ws.forward_into(&self.layer, x, &self.segs)?;
+                self.dy.resize(m, n);
+                for seg in &self.segs {
+                    let (lo, hi) = (seg.start * n, seg.end * n);
+                    seg_mse.push(mse_window(
+                        &self.ws.y.as_slice()[lo..hi],
+                        &self.y_true.as_slice()[lo..hi],
+                        &mut self.dy.as_mut_slice()[lo..hi],
+                    ));
+                }
+                self.ws.backward_into(&self.layer, &self.segs, &self.dy)?;
+                for (adapter, g) in self.ws.grads() {
+                    let entry = self
+                        .accum
+                        .entry(adapter)
+                        .or_insert_with(|| LoraGrads::zeros(self.k, self.n, g.da.cols()));
+                    entry.accumulate(g)?;
+                }
             }
             ExecutorKind::Fused | ExecutorKind::Reference => {
                 // Per-segment single-adapter execution.
-                let mut y = Matrix::zeros(x.rows(), self.n);
                 let mut grads: BTreeMap<usize, LoraGrads> = BTreeMap::new();
-                for seg in &segs {
+                for seg in &self.segs {
                     let single = self.layer.as_single(seg.adapter)?;
                     let x_seg = x.slice_rows(seg.start, seg.end)?;
-                    let y_seg_true = y_true.slice_rows(seg.start, seg.end)?;
-                    let (y_seg, seg_grads) = if self.executor == ExecutorKind::Fused {
+                    let y_seg_true = &self.y_true.as_slice()[seg.start * n..seg.end * n];
+                    let mut dy = Matrix::zeros(seg.len(), n);
+                    let seg_grads = if self.executor == ExecutorKind::Fused {
                         let fwd =
                             fused::forward(&single, &x_seg, seg.dropout_row_offset, &self.traffic)?;
-                        let dy = loss_grad(&fwd.y, &y_seg_true)?;
-                        let bwd = fused::backward(&single, &fwd.saved, &dy, &self.traffic)?;
-                        (fwd.y, bwd.grads)
+                        seg_mse.push(mse_window(fwd.y.as_slice(), y_seg_true, dy.as_mut_slice()));
+                        fused::backward(&single, &fwd.saved, &dy, &self.traffic)?.grads
                     } else {
                         let fwd = reference::forward(
                             &single,
@@ -211,46 +262,28 @@ impl MultiAdapterTrainer {
                             seg.dropout_row_offset,
                             &self.traffic,
                         )?;
-                        let dy = loss_grad(&fwd.y, &y_seg_true)?;
-                        let bwd = reference::backward(&single, &fwd.saved, &dy, &self.traffic)?;
-                        (fwd.y, bwd.grads)
+                        seg_mse.push(mse_window(fwd.y.as_slice(), y_seg_true, dy.as_mut_slice()));
+                        reference::backward(&single, &fwd.saved, &dy, &self.traffic)?.grads
                     };
-                    y.write_rows(seg.start, &y_seg)?;
                     let entry = grads.entry(seg.adapter).or_insert_with(|| {
-                        LoraGrads::zeros(
-                            self.k,
-                            self.n,
-                            self.layer.adapters[seg.adapter].config.rank,
-                        )
+                        LoraGrads::zeros(k, n, self.layer.adapters[seg.adapter].config.rank)
                     });
                     entry.accumulate(&seg_grads)?;
                 }
-                (y, grads, Matrix::zeros(1, 1))
+                for (adapter, g) in grads {
+                    let entry = self.accum.entry(adapter).or_insert_with(|| {
+                        LoraGrads::zeros(k, n, self.layer.adapters[adapter].config.rank)
+                    });
+                    entry.accumulate(&g)?;
+                }
             }
-        };
-        let _ = dx_unused;
-
-        // Accumulate gradients per adapter across microbatches.
-        for (adapter, g) in grads {
-            let entry = self.accum.entry(adapter).or_insert_with(|| {
-                LoraGrads::zeros(self.k, self.n, self.layer.adapters[adapter].config.rank)
-            });
-            entry.accumulate(&g)?;
         }
 
         // Per-adapter MSE of this microbatch.
         let mut losses = BTreeMap::new();
-        for seg in &segs {
-            let err = sub(
-                &y.slice_rows(seg.start, seg.end)?,
-                &y_true.slice_rows(seg.start, seg.end)?,
-            )?;
-            let mse =
-                lorafusion_tensor::ops::frobenius_norm(&err).powi(2) / (err.len().max(1) as f64);
-            let tokens = self.accum_tokens.entry(seg.adapter).or_insert(0);
-            *tokens += seg.end - seg.start;
-            let agg = losses.entry(seg.adapter).or_insert(0.0);
-            *agg += mse;
+        for (seg, mse) in self.segs.iter().zip(seg_mse) {
+            *self.accum_tokens.entry(seg.adapter).or_insert(0) += seg.len();
+            *losses.entry(seg.adapter).or_insert(0.0) += mse;
         }
         Ok(losses)
     }
@@ -282,10 +315,21 @@ impl MultiAdapterTrainer {
     }
 }
 
-fn loss_grad(y: &Matrix, y_true: &Matrix) -> lorafusion_kernels::Result<Matrix> {
-    // d/dy of mean squared error over all elements: 2 (y - y_true) / N.
-    let diff = sub(y, y_true)?;
-    Ok(scale(2.0 / y.len().max(1) as f32, &diff))
+/// Mean squared error of one segment's output rows, and its gradient in
+/// the same pass: writes `dy = (2 / N) * (y - y_true)` over the window's
+/// `N` elements and returns `||y - y_true||² / N` — element for element
+/// the expressions of `scale(2 / N, sub(y, y_true))` and of
+/// `frobenius_norm(sub(y, y_true)).powi(2) / N`.
+fn mse_window(y: &[f32], y_true: &[f32], dy: &mut [f32]) -> f64 {
+    let len = y.len().max(1);
+    let scale = 2.0 / len as f32;
+    let mut sq = 0.0f64;
+    for ((d, &p), &t) in dy.iter_mut().zip(y).zip(y_true) {
+        let diff = p - t;
+        *d = scale * diff;
+        sq += (diff as f64) * (diff as f64);
+    }
+    sq.sqrt().powi(2) / len as f64
 }
 
 #[cfg(test)]
@@ -293,22 +337,36 @@ mod tests {
     use super::*;
 
     fn run_training(executor: ExecutorKind, steps: usize) -> (Vec<f64>, Vec<f64>) {
-        let config = TrainerConfig {
-            executor,
-            ..TrainerConfig::small(2, executor)
-        };
+        run_segments(
+            TrainerConfig::small(2, executor),
+            &[(0, 12), (1, 12)],
+            steps,
+        )
+    }
+
+    /// Trains `steps` microbatches laid out as `segments`, stepping every
+    /// adapter after each, and returns the probe losses before and after.
+    fn run_segments(
+        config: TrainerConfig,
+        segments: &[(usize, usize)],
+        steps: usize,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let adapters = config.adapters.len();
+        let tokens = segments.iter().map(|&(_, len)| len).sum();
         let mut trainer = MultiAdapterTrainer::new(&config);
-        let before: Vec<f64> = (0..2).map(|a| trainer.probe_loss(a, 64, 99)).collect();
-        let mut mb_losses = Vec::new();
+        let before: Vec<f64> = (0..adapters)
+            .map(|a| trainer.probe_loss(a, 64, 99))
+            .collect();
         for _ in 0..steps {
-            let x = trainer.sample_input(24);
-            let losses = trainer.step_microbatch(&x, &[(0, 12), (1, 12)]).unwrap();
-            mb_losses.push(losses[&0]);
-            trainer.apply_adapter_step(0);
-            trainer.apply_adapter_step(1);
+            let x = trainer.sample_input(tokens);
+            trainer.step_microbatch(&x, segments).unwrap();
+            for a in 0..adapters {
+                trainer.apply_adapter_step(a);
+            }
         }
-        let after: Vec<f64> = (0..2).map(|a| trainer.probe_loss(a, 64, 99)).collect();
-        let _ = mb_losses;
+        let after: Vec<f64> = (0..adapters)
+            .map(|a| trainer.probe_loss(a, 64, 99))
+            .collect();
         (before, after)
     }
 
@@ -346,6 +404,57 @@ mod tests {
                 multi_after[a]
             );
         }
+    }
+
+    /// Unequal segments with a repeated adapter: every executor must
+    /// normalise the loss per segment, so the fused multi-adapter
+    /// trajectory matches the reference one. (Normalising over the whole
+    /// microbatch instead weights a segment's gradient by its share of the
+    /// tokens, which equal-length segments cannot reveal.)
+    #[test]
+    fn executors_agree_on_unequal_segments_with_a_repeated_adapter() {
+        let segments = [(0, 5), (1, 19), (0, 7)];
+        for dropout in [0.0f32, 0.1] {
+            let run = |executor| {
+                let mut config = TrainerConfig::small(2, executor);
+                for a in &mut config.adapters {
+                    a.dropout = dropout;
+                }
+                run_segments(config, &segments, 40)
+            };
+            let (ref_before, ref_after) = run(ExecutorKind::Reference);
+            let (_, multi_after) = run(ExecutorKind::FusedMulti);
+            for a in 0..2 {
+                assert!(
+                    ref_after[a] < ref_before[a],
+                    "adapter {a} did not train: {} -> {}",
+                    ref_before[a],
+                    ref_after[a]
+                );
+                assert!(
+                    (ref_after[a] - multi_after[a]).abs() < 1e-6 * (1.0 + ref_after[a]),
+                    "dropout {dropout}, adapter {a}: multi {} vs reference {}",
+                    multi_after[a],
+                    ref_after[a]
+                );
+            }
+        }
+    }
+
+    /// A workspace step must report the same losses as the executor it
+    /// replaced, and reject a layout that does not cover the batch before
+    /// touching any state.
+    #[test]
+    fn invalid_segments_are_rejected_without_advancing_cursors() {
+        let mut trainer =
+            MultiAdapterTrainer::new(&TrainerConfig::small(2, ExecutorKind::FusedMulti));
+        let x = trainer.sample_input(10);
+        assert!(trainer.step_microbatch(&x, &[(0, 4), (1, 5)]).is_err());
+        assert!(trainer.step_microbatch(&x, &[(0, 4), (2, 6)]).is_err());
+        assert_eq!(trainer.dropout_cursor, vec![0, 0]);
+        let losses = trainer.step_microbatch(&x, &[(0, 4), (1, 6)]).unwrap();
+        assert_eq!(losses.len(), 2);
+        assert!(losses.values().all(|l| l.is_finite()));
     }
 
     #[test]

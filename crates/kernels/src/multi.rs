@@ -13,9 +13,9 @@
 use std::collections::BTreeMap;
 
 use lorafusion_gpu::{KernelClass, KernelProfile};
-use lorafusion_tensor::matmul::{gemm_windows_on, Epilogue, Layout, Prologue};
+use lorafusion_tensor::matmul::{gemm_fused, gemm_windows_on, Epilogue, Layout, Prologue};
 use lorafusion_tensor::pool;
-use lorafusion_tensor::{matmul_nn, matmul_nt, DropoutSpec, Matrix};
+use lorafusion_tensor::{DropoutSpec, Matrix};
 
 use crate::lora::{AdapterWeights, LoraGrads, LoraLayer};
 use crate::traffic::TrafficModel;
@@ -136,7 +136,7 @@ pub fn validate_segments(segments: &[Segment], m: usize, adapters: usize) -> Res
     Ok(())
 }
 
-/// Per-segment activations saved by the multi-adapter forward pass.
+/// Activations saved by the multi-adapter forward pass.
 ///
 /// No masks are stored: each segment's dropout mask is a pure function of
 /// its adapter's [`DropoutSpec`] and `dropout_row_offset`, so the backward
@@ -145,10 +145,21 @@ pub fn validate_segments(segments: &[Segment], m: usize, adapters: usize) -> Res
 pub struct Saved {
     /// Segment layout of the microbatch.
     pub segments: Vec<Segment>,
-    /// Masked input `X̂` per segment (emitted by K1 alongside `S`).
-    pub x_hats: Vec<Matrix>,
-    /// Low-rank intermediate per segment.
-    pub s: Vec<Matrix>,
+    /// Masked input `X̂` of the whole microbatch (emitted by K1 alongside
+    /// `S`); segment `i`'s rows are the row window `start..end`.
+    pub x_hat: Matrix,
+    /// Low-rank intermediates of all segments back to back, in segment
+    /// order: each segment's row-major `len x rank` block.
+    pub s: Vec<f32>,
+}
+
+/// Length of a buffer that stores every segment's row-major `len x rank`
+/// block back to back.
+fn rank_blocks_len(layer: &MultiLoraLayer, segments: &[Segment]) -> usize {
+    segments
+        .iter()
+        .map(|seg| seg.len() * layer.adapters[seg.adapter].config.rank)
+        .sum()
 }
 
 /// Forward result of the multi-adapter executor.
@@ -306,127 +317,370 @@ pub fn backward_profiles(
     ]
 }
 
-/// Shareable raw pointer into a batch tensor whose *disjoint row windows*
-/// are handed to per-segment tasks. Safety rests on
-/// [`validate_segments`]: segments are contiguous, ordered and
-/// non-overlapping, so no two tasks ever touch the same element.
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f32);
-// SAFETY: tasks only write the disjoint row windows assigned to them by
-// `validate_segments`, and the allocation outlives the pool scope.
-unsafe impl Send for SendPtr {}
-// SAFETY: shared references only hand out the raw pointer; every
-// dereference targets a per-task disjoint window, so no data race.
-unsafe impl Sync for SendPtr {}
-impl SendPtr {
-    fn get(self) -> *mut f32 {
-        self.0
+/// Reusable buffers for the allocation-free multi-adapter training step,
+/// the FusedMultiLoRA counterpart of [`crate::fused::Workspace`].
+///
+/// Every tensor a forward+backward step touches lives here and is
+/// `resize`d (capacity-reusing) at the start of each pass: `y`, `X̂` and
+/// `dX` for the whole microbatch, the rank-`r` `S` and `dS` blocks of all
+/// segments back to back, and one gradient pair per adapter of the layer.
+/// Segment windows are row windows of the batch tensors, so no segment is
+/// ever copied out. Once warmed up at a segment layout, further steps
+/// perform no heap allocation: the workspace reuses its buffers and the
+/// GEMM engine its thread-local arena.
+#[derive(Debug, Clone)]
+pub struct Workspace {
+    /// Layer output `Y` (`m x n`).
+    pub y: Matrix,
+    /// Masked input `X̂` (`m x k`), emitted by K1's pack prologue.
+    pub x_hat: Matrix,
+    /// Input gradient `dX` (`m x k`).
+    pub dx: Matrix,
+    /// Low-rank intermediates `S`, one `len x rank` block per segment.
+    s: Vec<f32>,
+    /// Low-rank gradients `dS`, laid out like `s`.
+    ds: Vec<f32>,
+    /// Per-adapter gradients, indexed by adapter; valid for the adapters
+    /// the last backward pass saw (`present`).
+    grads: Vec<LoraGrads>,
+    present: Vec<bool>,
+}
+
+impl Default for Workspace {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
-/// Functional + profiled multi-adapter forward pass.
+impl Workspace {
+    /// Creates an empty workspace; buffers grow on first use.
+    pub fn new() -> Self {
+        Self {
+            y: Matrix::zeros(0, 0),
+            x_hat: Matrix::zeros(0, 0),
+            dx: Matrix::zeros(0, 0),
+            s: Vec::new(),
+            ds: Vec::new(),
+            grads: Vec::new(),
+            present: Vec::new(),
+        }
+    }
+
+    /// Gradients of the adapters present in the last
+    /// [`Workspace::backward_into`], in ascending adapter order. Segments
+    /// of the same adapter are accumulated in segment order.
+    pub fn grads(&self) -> impl Iterator<Item = (usize, &LoraGrads)> {
+        self.grads
+            .iter()
+            .enumerate()
+            .filter(|&(a, _)| self.present.get(a).copied().unwrap_or(false))
+    }
+
+    /// Allocation-free FusedMultiLoRA forward step into the workspace.
+    ///
+    /// The shared base GEMM `Y = X W` covers every token. Then, segment by
+    /// segment on row windows of `X` and `Y`: K1 computes `S = X̂ A` with
+    /// dropout applied as `X` is read and `X̂` emitted from the same pass,
+    /// and K2 accumulates `alpha * S B` into `Y` through the `AddScaled`
+    /// tile store. The per-segment `dropout_row_offset` positions the
+    /// counter stream so each window's mask is bit-identical to the
+    /// adapter's whole-batch mask. Segments run in order, each GEMM
+    /// spreading its macro-tiles over the pool, so results are identical
+    /// at any thread count.
+    pub fn forward_into(
+        &mut self,
+        layer: &MultiLoraLayer,
+        x: &Matrix,
+        segments: &[Segment],
+    ) -> Result<()> {
+        let _span =
+            lorafusion_trace::span!("multi.forward", m = x.rows(), segments = segments.len());
+        validate_segments(segments, x.rows(), layer.adapters.len())?;
+        let (m, k, n) = (x.rows(), layer.k(), layer.n());
+        self.y.resize(m, n);
+        self.x_hat.resize(m, k);
+        self.s.resize(rank_blocks_len(layer, segments), 0.0);
+
+        // Shared base computation for all tokens.
+        gemm_fused(
+            Layout::Nn,
+            1.0,
+            x,
+            &layer.w,
+            &mut self.y,
+            Prologue::none(),
+            Epilogue::Overwrite,
+        )?;
+
+        let current = pool::current();
+        let mut s_rest = self.s.as_mut_slice();
+        for seg in segments {
+            let _span =
+                lorafusion_trace::span!("multi.segment", adapter = seg.adapter, rows = seg.len());
+            let adapter = &layer.adapters[seg.adapter];
+            let cfg = adapter.config;
+            let spec =
+                DropoutSpec::new(cfg.dropout, cfg.seed).with_row_offset(seg.dropout_row_offset);
+            let rows = seg.len();
+            let (s, rest) = s_rest.split_at_mut(rows * cfg.rank);
+            s_rest = rest;
+
+            // K1 on the window: S = X̂ A with dropout applied in the pack and
+            // X̂ emitted — one read of the segment's input, no mask tensor.
+            gemm_windows_on(
+                current,
+                Layout::Nn,
+                1.0,
+                &x.as_slice()[seg.start * k..seg.end * k],
+                adapter.a.as_slice(),
+                s,
+                rows,
+                k,
+                cfg.rank,
+                Prologue {
+                    dropout: (!spec.is_identity()).then_some(spec),
+                    softmax_grad: None,
+                    emit: Some(&mut self.x_hat.as_mut_slice()[seg.start * k..seg.end * k]),
+                },
+                Epilogue::Overwrite,
+            )?;
+
+            // K2 epilogue: the segment's output rows gain alpha * S B in the
+            // tile store, written straight through the row window.
+            gemm_windows_on(
+                current,
+                Layout::Nn,
+                1.0,
+                s,
+                adapter.b.as_slice(),
+                &mut self.y.as_mut_slice()[seg.start * n..seg.end * n],
+                rows,
+                cfg.rank,
+                n,
+                Prologue::none(),
+                Epilogue::AddScaled(cfg.alpha),
+            )?;
+        }
+        Ok(())
+    }
+
+    /// Allocation-free FusedMultiLoRA backward step into the workspace.
+    ///
+    /// Requires a preceding [`Workspace::forward_into`] with the same
+    /// `segments` (it consumes the saved `X̂` and `S`).
+    pub fn backward_into(
+        &mut self,
+        layer: &MultiLoraLayer,
+        segments: &[Segment],
+        dy: &Matrix,
+    ) -> Result<()> {
+        let _span =
+            lorafusion_trace::span!("multi.backward", m = dy.rows(), segments = segments.len());
+        validate_segments(segments, dy.rows(), layer.adapters.len())?;
+        check_saved(layer, segments, &self.x_hat, &self.s)?;
+        let (m, k) = (dy.rows(), layer.k());
+        self.dx.resize(m, k);
+        self.ds.resize(self.s.len(), 0.0);
+        let adapters = layer.adapters.len();
+        if self.grads.len() < adapters {
+            self.grow_grads(adapters);
+        }
+        self.present.clear();
+        self.present.resize(adapters, false);
+        for seg in segments {
+            if !self.present[seg.adapter] {
+                self.present[seg.adapter] = true;
+                let g = &mut self.grads[seg.adapter];
+                let r = layer.adapters[seg.adapter].config.rank;
+                g.da.resize(k, r);
+                g.da.as_mut_slice().fill(0.0);
+                g.db.resize(r, layer.n());
+                g.db.as_mut_slice().fill(0.0);
+            }
+        }
+        backward_core(
+            layer,
+            segments,
+            &self.x_hat,
+            &self.s,
+            dy,
+            &mut self.ds,
+            &mut self.dx,
+            &mut self.grads,
+        )
+    }
+
+    /// Extends the per-adapter gradient table to `adapters` entries. Runs
+    /// only while a workspace warms up on a layer; the shapes are set by
+    /// `backward_into`.
+    fn grow_grads(&mut self, adapters: usize) {
+        while self.grads.len() < adapters {
+            self.grads.push(LoraGrads::zeros(0, 0, 0));
+        }
+    }
+}
+
+/// Checks that saved activations match the segment layout they are about
+/// to be read with.
+fn check_saved(
+    layer: &MultiLoraLayer,
+    segments: &[Segment],
+    x_hat: &Matrix,
+    s: &[f32],
+) -> Result<()> {
+    let rows = segments.last().map_or(0, |seg| seg.end);
+    if x_hat.shape() != (rows, layer.k()) || s.len() != rank_blocks_len(layer, segments) {
+        return Err(KernelError::InvalidParameter {
+            name: "saved",
+            reason: "saved activations do not match the segment layout",
+        });
+    }
+    Ok(())
+}
+
+/// The shared backward graph (K3..K5) over pre-shaped outputs: `ds` laid
+/// out like `s`, `dx` of shape `m x k`, and zeroed gradients for every
+/// adapter a segment references.
+///
+/// `alpha` folds into the tile stores of `dS` and `dB`, and the `dX`
+/// adapter term re-applies the segment's dropout mask analytically in the
+/// `AddMasked` store — no mask tensors, no extra elementwise passes.
+/// `dA`/`dB` accumulate straight into the adapter's gradients through the
+/// `Add`/`AddScaled` stores, in segment order: `g + p` and
+/// `g + alpha * p` are exactly the per-element expressions of computing a
+/// segment's gradient alone and then accumulating it.
+#[allow(clippy::too_many_arguments)] // the saved activations plus every output
+fn backward_core(
+    layer: &MultiLoraLayer,
+    segments: &[Segment],
+    x_hat: &Matrix,
+    s: &[f32],
+    dy: &Matrix,
+    ds: &mut [f32],
+    dx: &mut Matrix,
+    grads: &mut [LoraGrads],
+) -> Result<()> {
+    let (k, n) = (layer.k(), layer.n());
+    // Shared base input gradient.
+    gemm_fused(
+        Layout::Nt,
+        1.0,
+        dy,
+        &layer.w,
+        dx,
+        Prologue::none(),
+        Epilogue::Overwrite,
+    )?;
+
+    let current = pool::current();
+    let dys = dy.as_slice();
+    let mut offset = 0usize;
+    for seg in segments {
+        let _span =
+            lorafusion_trace::span!("multi.segment", adapter = seg.adapter, rows = seg.len());
+        let adapter = &layer.adapters[seg.adapter];
+        let cfg = adapter.config;
+        let r = cfg.rank;
+        let spec = DropoutSpec::new(cfg.dropout, cfg.seed).with_row_offset(seg.dropout_row_offset);
+        let rows = seg.len();
+        let dy_win = &dys[seg.start * n..seg.end * n];
+        let s = &s[offset..offset + rows * r];
+        let ds = &mut ds[offset..offset + rows * r];
+        offset += rows * r;
+        let g = &mut grads[seg.adapter];
+
+        // K3: ds = alpha * dY Bᵀ, and db += alpha * Sᵀ dY, alpha applied in
+        // the tile store.
+        gemm_windows_on(
+            current,
+            Layout::Nt,
+            1.0,
+            dy_win,
+            adapter.b.as_slice(),
+            ds,
+            rows,
+            n,
+            r,
+            Prologue::none(),
+            Epilogue::Scaled(cfg.alpha),
+        )?;
+        gemm_windows_on(
+            current,
+            Layout::Tn,
+            1.0,
+            s,
+            dy_win,
+            g.db.as_mut_slice(),
+            r,
+            rows,
+            n,
+            Prologue::none(),
+            Epilogue::AddScaled(cfg.alpha),
+        )?;
+
+        // K4: da += X̂ᵀ ds.
+        gemm_windows_on(
+            current,
+            Layout::Tn,
+            1.0,
+            &x_hat.as_slice()[seg.start * k..seg.end * k],
+            ds,
+            g.da.as_mut_slice(),
+            k,
+            rows,
+            r,
+            Prologue::none(),
+            Epilogue::Add,
+        )?;
+
+        // K5 epilogue: the segment's dx rows gain (ds Aᵀ) ⊙ mask via the
+        // masked tile store, written straight through the row window.
+        gemm_windows_on(
+            current,
+            Layout::Nt,
+            1.0,
+            ds,
+            adapter.a.as_slice(),
+            &mut dx.as_mut_slice()[seg.start * k..seg.end * k],
+            rows,
+            r,
+            k,
+            Prologue::none(),
+            if spec.is_identity() {
+                Epilogue::Add
+            } else {
+                Epilogue::AddMasked(spec)
+            },
+        )?;
+    }
+    Ok(())
+}
+
+/// Functional + profiled multi-adapter forward pass: a wrapper over
+/// [`Workspace::forward_into`] that hands out the workspace's buffers and
+/// attaches the kernel lowering.
 pub fn forward(
     layer: &MultiLoraLayer,
     x: &Matrix,
     segments: &[Segment],
     t: &TrafficModel,
 ) -> Result<ForwardOutput> {
-    let _span = lorafusion_trace::span!("multi.forward", m = x.rows(), segments = segments.len());
-    validate_segments(segments, x.rows(), layer.adapters.len())?;
-    let (k, n) = (layer.k(), layer.n());
-
-    // Shared base computation for all tokens.
-    let mut y = matmul_nn(x, &layer.w)?;
-
-    // Segment tiles are independent, so they execute concurrently on the
-    // worker pool — the functional analogue of FusedMultiLoRA dispatching
-    // per-tile adapter work across SMs. Each task runs fused GEMMs directly
-    // on its *row windows* of `x` and `y` (a row window of a row-major
-    // matrix is contiguous, so no copies): dropout happens in the K1 pack
-    // with `X̂` emitted from the same read, and the up-projection lands in
-    // `y` through the `AddScaled` tile store. The per-segment
-    // `dropout_row_offset` positions the counter stream so each tile's mask
-    // is bit-identical to the adapter's whole-batch mask. Window GEMMs run
-    // inline on the worker (nested dispatch), so outputs are identical at
-    // any thread count.
-    let xs = x.as_slice();
-    let y_ptr = SendPtr(y.as_mut_slice().as_mut_ptr());
-    let current = pool::current();
-    let per_segment = pool::parallel_map(current, segments.len(), |idx| -> Result<_> {
-        let seg = &segments[idx];
-        let _span =
-            lorafusion_trace::span!("multi.segment", adapter = seg.adapter, rows = seg.len());
-        let adapter = &layer.adapters[seg.adapter];
-        let cfg = adapter.config;
-        let spec = DropoutSpec::new(cfg.dropout, cfg.seed).with_row_offset(seg.dropout_row_offset);
-        let rows = seg.len();
-        let x_win = &xs[seg.start * k..seg.end * k];
-
-        // K1 on the window: S = X̂ A with dropout applied in the pack and
-        // X̂ emitted — one read of the segment's input, no mask tensor.
-        let mut x_hat = Matrix::zeros(rows, k);
-        let mut s = Matrix::zeros(rows, cfg.rank);
-        gemm_windows_on(
-            current,
-            Layout::Nn,
-            1.0,
-            x_win,
-            adapter.a.as_slice(),
-            s.as_mut_slice(),
-            rows,
-            k,
-            cfg.rank,
-            Prologue {
-                dropout: (!spec.is_identity()).then_some(spec),
-                softmax_grad: None,
-                emit: Some(x_hat.as_mut_slice()),
-            },
-            Epilogue::Overwrite,
-        )?;
-
-        // K2 epilogue: the segment's output rows gain alpha * S B in the
-        // tile store, written straight through the disjoint row window.
-        // SAFETY: `validate_segments` guarantees the windows are disjoint
-        // and in-bounds, and `y` outlives the parallel map.
-        let y_win =
-            unsafe { std::slice::from_raw_parts_mut(y_ptr.get().add(seg.start * n), rows * n) };
-        gemm_windows_on(
-            current,
-            Layout::Nn,
-            1.0,
-            s.as_slice(),
-            adapter.b.as_slice(),
-            y_win,
-            rows,
-            cfg.rank,
-            n,
-            Prologue::none(),
-            Epilogue::AddScaled(cfg.alpha),
-        )?;
-        Ok((x_hat, s))
-    });
-
-    let mut x_hats = Vec::with_capacity(segments.len());
-    let mut s_all = Vec::with_capacity(segments.len());
-    for result in per_segment {
-        let (x_hat, s) = result?;
-        x_hats.push(x_hat);
-        s_all.push(s);
-    }
-
-    let kernels = forward_profiles(layer, segments, t);
+    let mut ws = Workspace::new();
+    ws.forward_into(layer, x, segments)?;
+    let Workspace { y, x_hat, s, .. } = ws;
     Ok(ForwardOutput {
         y,
         saved: Saved {
             segments: segments.to_vec(),
-            x_hats,
-            s: s_all,
+            x_hat,
+            s,
         },
-        kernels,
+        kernels: forward_profiles(layer, segments, t),
     })
 }
 
-/// Functional + profiled multi-adapter backward pass.
+/// Functional + profiled multi-adapter backward pass (a wrapper over the
+/// core of [`Workspace::backward_into`]).
 ///
 /// Gradients of adapters appearing in several segments are accumulated;
 /// this is the "tracks gradients across job boundaries" behaviour of the
@@ -443,120 +697,34 @@ pub fn backward(
         segments = saved.segments.len()
     );
     validate_segments(&saved.segments, dy.rows(), layer.adapters.len())?;
-    let (k, n) = (layer.k(), layer.n());
-
-    // Shared base input gradient.
-    let mut dx = matmul_nt(dy, &layer.w)?;
-    let mut grads: BTreeMap<usize, LoraGrads> = BTreeMap::new();
-
-    // Per-segment gradient tiles run concurrently on disjoint row windows
-    // of `dy`/`dx`: alpha folds into the `Scaled` tile store of ds/db, and
-    // the dx adapter term re-applies the segment's dropout mask analytically
-    // in the `AddMasked` store — no mask tensors, no extra elementwise
-    // passes. The cross-segment accumulation (per-adapter grads) happens
-    // serially below in segment order, preserving the serial
-    // floating-point order exactly.
-    let dys = dy.as_slice();
-    let dx_ptr = SendPtr(dx.as_mut_slice().as_mut_ptr());
-    let current = pool::current();
-    let per_segment = pool::parallel_map(current, saved.segments.len(), |idx| -> Result<_> {
-        let seg = &saved.segments[idx];
-        let _span =
-            lorafusion_trace::span!("multi.segment", adapter = seg.adapter, rows = seg.len());
-        let adapter = &layer.adapters[seg.adapter];
-        let cfg = adapter.config;
-        let r = cfg.rank;
-        let spec = DropoutSpec::new(cfg.dropout, cfg.seed).with_row_offset(seg.dropout_row_offset);
-        let rows = seg.len();
-        let dy_win = &dys[seg.start * n..seg.end * n];
-        let s = &saved.s[idx];
-        let x_hat = &saved.x_hats[idx];
-
-        // K3: ds = alpha * dY Bᵀ and db = alpha * Sᵀ dY, alpha applied in
-        // the tile store.
-        let mut ds = Matrix::zeros(rows, r);
-        gemm_windows_on(
-            current,
-            Layout::Nt,
-            1.0,
-            dy_win,
-            adapter.b.as_slice(),
-            ds.as_mut_slice(),
-            rows,
-            n,
-            r,
-            Prologue::none(),
-            Epilogue::Scaled(cfg.alpha),
-        )?;
-        let mut db = Matrix::zeros(r, n);
-        gemm_windows_on(
-            current,
-            Layout::Tn,
-            1.0,
-            s.as_slice(),
-            dy_win,
-            db.as_mut_slice(),
-            r,
-            rows,
-            n,
-            Prologue::none(),
-            Epilogue::Scaled(cfg.alpha),
-        )?;
-
-        // K4: da = X̂ᵀ ds.
-        let mut da = Matrix::zeros(k, r);
-        gemm_windows_on(
-            current,
-            Layout::Tn,
-            1.0,
-            x_hat.as_slice(),
-            ds.as_slice(),
-            da.as_mut_slice(),
-            k,
-            rows,
-            r,
-            Prologue::none(),
-            Epilogue::Overwrite,
-        )?;
-
-        // K5 epilogue: the segment's dx rows gain (ds Aᵀ) ⊙ mask via the
-        // masked tile store, written straight through the disjoint window.
-        // SAFETY: `validate_segments` guarantees the windows are disjoint
-        // and in-bounds, and `dx` outlives the parallel map.
-        let dx_win =
-            unsafe { std::slice::from_raw_parts_mut(dx_ptr.get().add(seg.start * k), rows * k) };
-        gemm_windows_on(
-            current,
-            Layout::Nt,
-            1.0,
-            ds.as_slice(),
-            adapter.a.as_slice(),
-            dx_win,
-            rows,
-            r,
-            k,
-            Prologue::none(),
-            if spec.is_identity() {
-                Epilogue::Add
-            } else {
-                Epilogue::AddMasked(spec)
-            },
-        )?;
-        Ok((da, db))
-    });
-
-    for (idx, result) in per_segment.into_iter().enumerate() {
-        let seg = &saved.segments[idx];
-        let cfg = layer.adapters[seg.adapter].config;
-        let (da, db) = result?;
-        let entry = grads
-            .entry(seg.adapter)
-            .or_insert_with(|| LoraGrads::zeros(layer.k(), layer.n(), cfg.rank));
-        entry.accumulate(&LoraGrads { da, db })?;
-    }
-
-    let kernels = backward_profiles(layer, &saved.segments, t);
-    Ok(BackwardOutput { dx, grads, kernels })
+    check_saved(layer, &saved.segments, &saved.x_hat, &saved.s)?;
+    let mut grads: Vec<LoraGrads> = layer
+        .adapters
+        .iter()
+        .map(|a| LoraGrads::zeros(layer.k(), layer.n(), a.config.rank))
+        .collect();
+    let mut ds = vec![0.0f32; saved.s.len()];
+    let mut dx = Matrix::zeros(dy.rows(), layer.k());
+    backward_core(
+        layer,
+        &saved.segments,
+        &saved.x_hat,
+        &saved.s,
+        dy,
+        &mut ds,
+        &mut dx,
+        &mut grads,
+    )?;
+    let grads = grads
+        .into_iter()
+        .enumerate()
+        .filter(|(a, _)| saved.segments.iter().any(|seg| seg.adapter == *a))
+        .collect();
+    Ok(BackwardOutput {
+        dx,
+        grads,
+        kernels: backward_profiles(layer, &saved.segments, t),
+    })
 }
 
 #[cfg(test)]
@@ -735,13 +903,10 @@ mod tests {
         let fwd_split = forward(&layer, &x, &split, &t).unwrap();
         let fwd_whole = forward(&layer, &x, &whole, &t).unwrap();
         assert_eq!(fwd_split.y.as_slice(), fwd_whole.y.as_slice());
-        let concat: Vec<f32> = fwd_split
-            .saved
-            .x_hats
-            .iter()
-            .flat_map(|m| m.as_slice().iter().copied())
-            .collect();
-        assert_eq!(concat, fwd_whole.saved.x_hats[0].as_slice());
+        assert_eq!(
+            fwd_split.saved.x_hat.as_slice(),
+            fwd_whole.saved.x_hat.as_slice()
+        );
 
         let bwd_split = backward(&layer, &fwd_split.saved, &dy, &t).unwrap();
         let bwd_whole = backward(&layer, &fwd_whole.saved, &dy, &t).unwrap();

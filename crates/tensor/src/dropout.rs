@@ -56,14 +56,35 @@ impl DropoutSpec {
     }
 
     /// Keep decision for the element at logical `(row, col)` given `cols`
-    /// columns per row.
+    /// columns per row: `SplitMix64::uniform_at(seed, counter) >= prob`,
+    /// evaluated as the equivalent integer test of [`Self::keep_threshold`].
     #[inline]
     pub fn keep(&self, row: usize, col: usize, cols: usize) -> bool {
         if self.prob == 0.0 {
             return true;
         }
         let counter = ((self.row_offset + row) * cols + col) as u64;
-        SplitMix64::uniform_at(self.seed, counter) >= self.prob as f64
+        keep_word(
+            SplitMix64::counter_word(self.seed, counter),
+            self.keep_threshold(),
+        )
+    }
+
+    /// Integer form of the keep test. `uniform_at` is `W * 2^-53` for the
+    /// 53-bit integer `W = word >> 11`; both that product and
+    /// `prob * 2^53` are exact in `f64`, so `W * 2^-53 >= prob` holds
+    /// exactly when `W >= ceil(prob * 2^53)`. The test then needs no
+    /// int-to-float conversion per element. A NaN probability keeps
+    /// nothing, as the float comparison would.
+    #[inline]
+    pub fn keep_threshold(&self) -> u64 {
+        let p = self.prob as f64;
+        if p.is_nan() {
+            u64::MAX
+        } else {
+            // Saturating: negative probabilities keep everything.
+            (p * (1u64 << 53) as f64).ceil() as u64
+        }
     }
 
     /// Inverse keep-probability scale applied to surviving elements.
@@ -93,6 +114,50 @@ impl DropoutSpec {
             0.0
         }
     }
+
+    /// This spec with its scale and keep threshold computed once, for the
+    /// fused sites that evaluate it element by element (the GEMM pack
+    /// prologue and the `AddMasked` store epilogue).
+    #[inline]
+    pub fn mask(&self) -> Mask {
+        Mask {
+            seed: self.seed,
+            row_offset: self.row_offset,
+            scale: self.scale(),
+            threshold: self.keep_threshold(),
+        }
+    }
+}
+
+/// A [`DropoutSpec`] with its scale and keep threshold hoisted out of the
+/// element loop; [`Mask::value`] equals [`DropoutSpec::mask_value`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Mask {
+    seed: u64,
+    row_offset: usize,
+    scale: f32,
+    threshold: u64,
+}
+
+impl Mask {
+    /// Mask value of the element at logical `(row, col)` given `cols`
+    /// columns per row: the spec's scale when kept, `0.0` when dropped.
+    #[inline]
+    pub fn value(&self, row: usize, col: usize, cols: usize) -> f32 {
+        let counter = ((self.row_offset + row) * cols + col) as u64;
+        if keep_word(SplitMix64::counter_word(self.seed, counter), self.threshold) {
+            self.scale
+        } else {
+            0.0
+        }
+    }
+}
+
+/// The keep decision for a hashed counter word against
+/// [`DropoutSpec::keep_threshold`]: its top 53 bits are the uniform draw.
+#[inline]
+fn keep_word(word: u64, threshold: u64) -> bool {
+    (word >> 11) >= threshold
 }
 
 /// Computes the dropout mask as a matrix of `0.0` / `scale` values.
@@ -105,7 +170,6 @@ impl DropoutSpec {
 /// single bit of the result.
 pub fn dropout_mask(rows: usize, cols: usize, spec: &DropoutSpec) -> Result<Matrix> {
     spec.validate()?;
-    let scale = spec.scale();
     let mut mask = Matrix::zeros(rows, cols);
     if rows == 0 || cols == 0 {
         return Ok(mask);
@@ -123,9 +187,11 @@ pub fn dropout_mask(rows: usize, cols: usize, spec: &DropoutSpec) -> Result<Matr
         rows_per_chunk * cols,
         |t, chunk| {
             let row0 = t * rows_per_chunk;
-            for (idx, v) in chunk.iter_mut().enumerate() {
-                let (i, j) = (row0 + idx / cols, idx % cols);
-                *v = if spec.keep(i, j, cols) { scale } else { 0.0 };
+            let mask = spec.mask();
+            for (r, row) in chunk.chunks_mut(cols).enumerate() {
+                for (c, v) in row.iter_mut().enumerate() {
+                    *v = mask.value(row0 + r, c, cols);
+                }
             }
         },
     );
@@ -186,6 +252,50 @@ mod tests {
         let bottom = dropout_mask(6, 8, &spec.with_row_offset(4)).unwrap();
         assert_eq!(full.slice_rows(0, 4).unwrap(), top);
         assert_eq!(full.slice_rows(4, 10).unwrap(), bottom);
+    }
+
+    /// The integer keep test must agree with the float comparison it
+    /// replaces, `uniform_at(seed, counter) >= prob`, at edge
+    /// probabilities: zero, the smallest subnormal, values whose
+    /// `prob * 2^53` is and is not an integer, one half, and the largest
+    /// `f32` below one.
+    #[test]
+    fn integer_keep_test_matches_float_comparison() {
+        let probs = [
+            0.0f32,
+            f32::from_bits(1),
+            f32::MIN_POSITIVE,
+            1e-9,
+            0.1,
+            1.0 / 3.0,
+            0.5,
+            0.9,
+            1.0 - f32::EPSILON / 2.0,
+        ];
+        for (i, &prob) in probs.iter().enumerate() {
+            let spec = DropoutSpec::new(prob, 0xC0FFEE + i as u64);
+            let threshold = spec.keep_threshold();
+            // Words on both sides of the threshold, where a rounding slip
+            // in the float form would show.
+            for w in [threshold.saturating_sub(1), threshold, threshold + 1] {
+                let w = w.min((1u64 << 53) - 1);
+                let word = (w << 11) | 0x7FF;
+                let float = (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64) >= prob as f64;
+                assert_eq!(keep_word(word, threshold), float, "p={prob} W={w}");
+            }
+            // A contiguous range of 10^6 counters, through both spellings.
+            let cols = 1000;
+            let mask = spec.mask();
+            for r in 0..1000 {
+                for c in 0..cols {
+                    let counter = (r * cols + c) as u64;
+                    let float = SplitMix64::uniform_at(spec.seed, counter) >= prob as f64;
+                    assert_eq!(spec.keep(r, c, cols), float, "p={prob} counter={counter}");
+                    let want = if float { spec.scale() } else { 0.0 };
+                    assert_eq!(mask.value(r, c, cols), want, "p={prob} counter={counter}");
+                }
+            }
+        }
     }
 
     #[test]

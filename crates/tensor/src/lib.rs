@@ -33,7 +33,7 @@ pub mod rng;
 pub mod simd;
 pub mod tensor;
 
-pub use dropout::{dropout_forward, dropout_mask, DropoutSpec};
+pub use dropout::{dropout_forward, dropout_mask, DropoutSpec, Mask};
 pub use error::TensorError;
 pub use matmul::{matmul_nn, matmul_nt, matmul_tn};
 pub use pool::Pool;

@@ -1,37 +1,68 @@
-//! Register-tiled GEMM engine: pack-once operands, an `MR x NR`
+//! Register-tiled GEMM engine: shape-chosen operand feeds, an `MR x NR`
 //! microkernel, fused pack-prologue / store-epilogue hooks, and 2D
 //! macro-tile parallelism.
 //!
 //! Every GEMM layout (`NN`, `NT`, `TN`) lowers onto one compute path:
 //!
-//! 1. **Pack once.** `A` (with `alpha` folded in) is packed into row strips
-//!    of [`MR`] rows and `B` into column strips of [`NR`] columns, both in
-//!    k-major order, so the microkernel's inner loop reads two contiguous
-//!    streams. Packing happens a single time per call — in parallel, one
-//!    strip range per pool task — and the packed panels are then shared
-//!    read-only by every compute task. The transpose layouts differ *only*
-//!    in their packing gather; the compute loop is layout-oblivious.
-//!    A [`Prologue`] can transform `A` while it is being gathered:
-//!    counter-based dropout is applied per element (the keep/drop decision
-//!    is a pure function of `(seed, row, col)`, so *where* it is evaluated
-//!    cannot change the result), and the post-dropout operand can be
-//!    emitted to a second destination — this is how the fused LoRA forward
-//!    produces `X̂` for the backward pass without a separate mask +
-//!    hadamard sweep.
+//! 1. **Operand feeds.** The microkernel streams a `k`-major window of `MR`
+//!    rows of `A` and `NR` columns of `B` (a [`Panel`]). Where a window
+//!    comes from is a pure function of the call's shape and fusion hooks:
+//!    * `A` is **packed whole, once, before the grid runs** when `n`
+//!      spans several [`NC`] column blocks, because every `A` strip is then
+//!      read by several macro-tiles (the square base GEMMs of wide layers).
+//!      Packing runs in parallel, one strip range per pool task.
+//!    * Otherwise (`n <= NC`: the rank-`r` down-projections `m x k x r`,
+//!      the `TN` weight gradients, and every GEMM of a narrow layer) each
+//!      `A` element is read by exactly one macro-tile, so a whole-matrix
+//!      pack would only add a write and a re-read of a scratch copy of
+//!      `A`. The task instead reads full `MR`-row strips **in place**, at
+//!      their source strides (`(k, 1)` row-major, `(1, m)` transposed),
+//!      and packs only a ragged edge strip, per [`KC`] block, into a
+//!      task-local arena buffer. A dropout prologue with an emit buffer
+//!      first writes the task's rows of `X̂` into that buffer (row-major
+//!      layouts) and the kernels then read `X̂` in place from it, so `X`
+//!      is read once and `X̂` written once. When `alpha != 1`, a
+//!      softmax-grad transform, or a transform without a row-major emit
+//!      buffer is requested, every strip is packed per `KC` block inside
+//!      its task instead, so it is still L1/L2-resident when read.
+//!    * `B` is read in place when it is row-major (`NN`/`TN`) and either
+//!      one row block reads each strip (`m <= MC`, the `r x tokens x n`
+//!      weight gradients, where `B` is the big operand) or it is one
+//!      `NR`-wide strip already laid out like a packed panel. Otherwise
+//!      `B` — small in every LoRA shape — is packed whole, once.
+//!
+//!    On a 2-vCPU Xeon guest (one thread, best of 15, two runs), the
+//!    rank-16 down-projection `3000 x 256 x 16` with dropout and `X̂`
+//!    emission went from 6.07 ms to 1.13–1.34 ms this way, and from 2.43
+//!    to 0.54 ms without dropout; the six rank-16 GEMMs of one LoRA
+//!    training step at that shape went from 15.1 to 5.3–7.3 ms, against a
+//!    2.4 ms FMA floor (147 MFLOP at ~62 GFLOP/s). The
+//!    counter-based dropout keep test, evaluated once per element of `X`
+//!    and once per element of `dX`, is what the fused down-projection
+//!    still spends beyond its floor. A
+//!    [`Prologue`] transforms `A` as it is staged: counter-based dropout
+//!    is applied per element (the keep/drop decision is a pure function of
+//!    `(seed, row, col)`, so *where* it is evaluated cannot change the
+//!    result), and the post-dropout operand can be emitted to a second
+//!    destination — this is how the fused LoRA forward produces `X̂` for
+//!    the backward pass without a separate mask + hadamard sweep.
 //! 2. **Microkernel.** An `MR x NR` accumulator tile is accumulated in
 //!    registers in strictly ascending `kk` order, one [`KC`]-length block
-//!    of the reduction per invocation; between blocks the tile parks in an
-//!    exact `f32` stack buffer (see [`KC`] for why this cannot change a
-//!    bit). The kernel has three spellings selected by [`SimdPath`]: an
-//!    explicit AVX2+FMA kernel (confined to `crate::simd`), a scalar
-//!    `mul_add` twin that matches it bit for bit, and the historical
-//!    auto-vectorized mul-then-add kernel for non-FMA hosts. One
-//!    invocation owns its output tile exclusively. When the tile is
-//!    complete it is stored exactly once, through an [`Epilogue`] applied
-//!    while the values are still in registers: overwrite, accumulate,
-//!    scale-by-alpha, or accumulate-through-a-dropout-mask. This is what
-//!    lets the LoRA executors drop their standalone `scale` / `hadamard` /
-//!    `add` full-tensor passes.
+//!    of the reduction per invocation. When `k` fits one block the tile is
+//!    stored straight from the kernel's result; otherwise it parks in an
+//!    exact `f32` task-local buffer between blocks (see [`KC`] for why this
+//!    cannot change a bit). The kernel has three spellings selected by
+//!    [`SimdPath`]: an explicit AVX2+FMA kernel (confined to
+//!    `crate::simd`), a scalar `mul_add` twin that matches it bit for bit,
+//!    and the historical auto-vectorized mul-then-add kernel for non-FMA
+//!    hosts. All three read a packed panel and an in-place one through the
+//!    same strides. One invocation owns its output tile exclusively. When
+//!    the tile is complete it is stored exactly once, through an
+//!    [`Epilogue`] applied while the values are still in registers:
+//!    overwrite, accumulate, scale-by-alpha, or
+//!    accumulate-through-a-dropout-mask. This is what lets the LoRA
+//!    executors drop their standalone `scale` / `hadamard` / `add`
+//!    full-tensor passes.
 //! 3. **2D macro-tiles.** Parallelism is over an `(i-block, j-block)` grid
 //!    of [`MC`]` x `[`NC`] output tiles rather than row ranges, so skinny
 //!    LoRA shapes (`m x k x r` and `r x k x n` with rank `r` in 16..=64,
@@ -53,9 +84,11 @@
 //!   nothing — the engine stays bitwise-equal to a naive ascending-`k`
 //!   loop at *every* `k`, which the fuzz suite asserts;
 //! * packing only copies values, multiplies by `alpha`, or multiplies by
-//!   the deterministic dropout mask value, so it cannot perturb a bit, and
-//!   zero padding in edge strips is written explicitly but only ever
-//!   multiplies into padded accumulator lanes that are never stored;
+//!   the deterministic dropout mask value, so it cannot perturb a bit; an
+//!   in-place read sees the very values a pack would have copied (the feed
+//!   is only chosen in place when `alpha == 1`); and zero padding in edge
+//!   strips is written explicitly but only ever multiplies into padded
+//!   accumulator lanes that are never stored;
 //! * epilogues are applied per element exactly once, in the same
 //!   expression shape as the multi-pass composition they replace
 //!   (`c + alpha * p`, `c + p * mask`), so the fused result is
@@ -65,8 +98,10 @@
 //! removes the separate zeroing sweep over `C` — one full write pass saved
 //! per call.
 
+use std::ops::Range;
+
 use crate::arena::Scratch;
-use crate::dropout::DropoutSpec;
+use crate::dropout::{DropoutSpec, Mask};
 use crate::pool::{self, Pool};
 use crate::simd::{self, SimdPath};
 
@@ -269,38 +304,81 @@ impl SendPtr {
 }
 
 // ---------------------------------------------------------------------------
-// Packing
+// Panels and packing
 //
-// Packed `A`: strip `s` holds logical rows `s*MR .. s*MR+MR` at offset
-// `s*k*MR`, element `(kk, r)` at `kk*MR + r` within the strip. Packed `B`:
-// strip `t` holds logical columns `t*NR .. t*NR+NR` at offset `t*k*NR`,
-// element `(kk, c)` at `kk*NR + c`. Rows/columns beyond the edge are
-// explicit zeros (scratch buffers are reused, so stale bytes must never
+// Packed `A`: strip `s` holds logical rows `s*MR .. s*MR+MR`, element
+// `(kk, r)` at `kk*MR + r` within the strip. Packed `B`: strip `t` holds
+// logical columns `t*NR .. t*NR+NR`, element `(kk, c)` at `kk*NR + c`.
+// Whole-matrix packs put strip `s` at offset `s*k*MR` (`t*k*NR`); block
+// packs hold one `KC`-long window of a strip. Rows/columns beyond the edge
+// are explicit zeros (scratch buffers are reused, so stale bytes must never
 // survive packing).
 // ---------------------------------------------------------------------------
+
+/// A `kc`-step window of one operand as the microkernel streams it: lane
+/// `l` of step `kk` is `data[kk * k_stride + l * lane_stride]`.
+///
+/// Packed panels are `(lane_stride, k_stride) = (1, MR)` for `A` and
+/// `(1, NR)` for `B`. Operands read in place keep their source strides:
+/// a row-major `A` is `(k, 1)`, a transposed (`TN`) `A` is `(1, m)` and a
+/// row-major `B` is `(1, n)`. `B` lanes must be contiguous
+/// (`lane_stride == 1`): the kernels load them as vectors.
+#[derive(Clone, Copy)]
+pub(crate) struct Panel<'a> {
+    pub(crate) data: &'a [f32],
+    pub(crate) lane_stride: usize,
+    pub(crate) k_stride: usize,
+}
+
+impl<'a> Panel<'a> {
+    fn packed_a(data: &'a [f32]) -> Self {
+        Self {
+            data,
+            lane_stride: 1,
+            k_stride: MR,
+        }
+    }
+
+    fn packed_b(data: &'a [f32]) -> Self {
+        Self {
+            data,
+            lane_stride: 1,
+            k_stride: NR,
+        }
+    }
+
+    /// Number of steps whose `lanes` lanes all lie inside `data`. The
+    /// kernels clamp their step count to it, which makes them total: a
+    /// panel shorter than its shape claims computes fewer steps instead of
+    /// reading out of bounds.
+    pub(crate) fn max_steps(&self, lanes: usize) -> usize {
+        let span = lanes
+            .saturating_sub(1)
+            .saturating_mul(self.lane_stride)
+            .saturating_add(1);
+        match self.data.len().checked_sub(span) {
+            None => 0,
+            Some(_) if self.k_stride == 0 => usize::MAX,
+            Some(rest) => rest / self.k_stride + 1,
+        }
+    }
+}
 
 /// Per-strip view of the prologue, capturable by `Sync` pack closures.
 #[derive(Clone, Copy)]
 struct PackFusion<'a> {
     dropout: Option<DropoutSpec>,
     softmax_grad: Option<SoftmaxGradSpec<'a>>,
-    emit: Option<*const SendPtr>,
+    /// Base of the emit buffer (same layout and length as the `A` source).
+    emit: Option<*mut f32>,
 }
 
 impl PackFusion<'_> {
-    #[cfg(test)]
     const NONE: PackFusion<'static> = PackFusion {
         dropout: None,
         softmax_grad: None,
         emit: None,
     };
-
-    #[inline]
-    fn emit_ptr(&self) -> Option<*mut f32> {
-        // SAFETY: the pointee `SendPtr` outlives the packing job (it is a
-        // local in `gemm`, which blocks until packing completes).
-        self.emit.map(|p| unsafe { (*p).get() })
-    }
 
     /// Applies the softmax-grad transform at *logical* `A` coordinates
     /// `(row, col)` — the coordinates of the `m x k` operand the GEMM
@@ -314,90 +392,108 @@ impl PackFusion<'_> {
     }
 }
 
-// SAFETY: `emit` points at a `SendPtr` owned by the submitting `gemm` call,
-// which outlives the packing job; the target regions written through it are
-// pairwise disjoint per strip.
+// SAFETY: `emit` points into a buffer the submitting `gemm` call borrows
+// mutably for its whole duration; the regions written through it are
+// pairwise disjoint per strip and per task.
 unsafe impl Send for PackFusion<'_> {}
 // SAFETY: same argument as `Send` above — shared references only read the
 // configuration fields; all writes through `emit` target disjoint strips.
 unsafe impl Sync for PackFusion<'_> {}
 
-/// Packs one `MR`-row strip of a row-major `m x k` matrix, folding `alpha`
-/// and applying the pack fusion (dropout in source coordinates, then the
-/// softmax-grad transform in logical coordinates, then optional emission
-/// of the post-transform value at the source element's offset).
+/// Multiplies `src` by its dropout mask values — row `row`, columns
+/// `col0 ..` of a `cols`-wide source — into `dst`; copies when `mask` is
+/// `None`. `src` and `dst` have equal lengths.
+fn apply_dropout_row(
+    mask: Option<Mask>,
+    src: &[f32],
+    dst: &mut [f32],
+    row: usize,
+    col0: usize,
+    cols: usize,
+) {
+    let Some(mask) = mask else {
+        dst.copy_from_slice(src);
+        return;
+    };
+    for (c, (d, &v)) in dst.iter_mut().zip(src).enumerate() {
+        *d = v * mask.value(row, col0 + c, cols);
+    }
+}
+
+/// Packs the `ks` window of one `MR`-row strip of a row-major `m x k`
+/// matrix, folding `alpha` and applying the pack fusion (dropout in source
+/// coordinates, then the softmax-grad transform in logical coordinates,
+/// then optional emission of the post-transform value at the source
+/// element's offset). `out` holds `ks.len() * MR` elements.
+#[allow(clippy::too_many_arguments)] // one argument per gather coordinate
 fn pack_a_strip_rowmajor_fused(
     av: &[f32],
     m: usize,
     k: usize,
     alpha: f32,
     i0: usize,
+    ks: Range<usize>,
     fusion: PackFusion<'_>,
     out: &mut [f32],
 ) {
-    let emit = fusion.emit_ptr();
+    let mask = fusion.dropout.map(|spec| spec.mask());
     for r in 0..MR {
         let row = i0 + r;
-        if row < m {
-            let src = &av[row * k..(row + 1) * k];
-            for (kk, &v) in src.iter().enumerate() {
-                let x = match fusion.dropout {
-                    Some(spec) => v * spec.mask_value(row, kk, k),
-                    None => v,
-                };
-                let x = fusion.softmax(x, row, kk);
-                if let Some(e) = emit {
-                    // SAFETY: offset `row*k + kk` is in-bounds of the
-                    // emit buffer (length == av.len() == m*k) and owned by
-                    // this strip alone.
-                    unsafe { *e.add(row * k + kk) = x };
-                }
-                out[kk * MR + r] = alpha * x;
-            }
-        } else {
-            for kk in 0..k {
+        if row >= m {
+            for kk in 0..ks.len() {
                 out[kk * MR + r] = 0.0;
             }
+            continue;
+        }
+        let src = &av[row * k + ks.start..row * k + ks.end];
+        for (kk, &v) in src.iter().enumerate() {
+            let col = ks.start + kk;
+            let x = match mask {
+                Some(mask) => v * mask.value(row, col, k),
+                None => v,
+            };
+            let x = fusion.softmax(x, row, col);
+            if let Some(e) = fusion.emit {
+                // SAFETY: offset `row*k + col` is in-bounds of the emit
+                // buffer (length == av.len() == m*k) and owned by this
+                // strip alone.
+                unsafe { *e.add(row * k + col) = x };
+            }
+            out[kk * MR + r] = alpha * x;
         }
     }
 }
 
-/// Packs one `MR`-row strip of a row-major `m x k` matrix, folding `alpha`
-/// (prologue-free path; the fuzz and packing tests compare against it).
-#[cfg(test)]
-fn pack_a_strip_rowmajor(av: &[f32], m: usize, k: usize, alpha: f32, i0: usize, out: &mut [f32]) {
-    pack_a_strip_rowmajor_fused(av, m, k, alpha, i0, PackFusion::NONE, out);
-}
-
-/// Packs one `MR`-row strip of the *transpose* of a row-major `k x m`
-/// matrix (the `TN` left operand), folding `alpha` and the pack fusion.
-/// Dropout and emission use the source's own `(kk, col)` coordinates;
-/// the softmax-grad transform uses the *logical* (transposed) ones.
+/// Packs the `ks` window of one `MR`-row strip of the *transpose* of a
+/// row-major `k x m` matrix (the `TN` left operand), folding `alpha` and
+/// the pack fusion. Dropout and emission use the source's own
+/// `(kk, col)` coordinates; the softmax-grad transform uses the *logical*
+/// (transposed) ones.
+#[allow(clippy::too_many_arguments)] // one argument per gather coordinate
 fn pack_a_strip_transposed_fused(
     av: &[f32],
     m: usize,
-    k: usize,
     alpha: f32,
     i0: usize,
+    ks: Range<usize>,
     fusion: PackFusion<'_>,
     out: &mut [f32],
 ) {
-    let emit = fusion.emit_ptr();
     let avail = m.saturating_sub(i0).min(MR);
-    for kk in 0..k {
+    let mask = fusion.dropout.map(|spec| spec.mask());
+    for (kk, dst) in ks.zip(out.chunks_exact_mut(MR)) {
         // The gather reads `MR` floats per source row with an `m`-element
         // stride between rows; prefetching a few rows ahead hides the
         // stride the hardware prefetcher gives up on for large `m`.
         simd::prefetch_read(av.as_ptr().wrapping_add((kk + 4) * m + i0));
-        let src = &av[kk * m..(kk + 1) * m];
-        let dst = &mut out[kk * MR..(kk + 1) * MR];
-        for r in 0..avail {
-            let x = match fusion.dropout {
-                Some(spec) => src[i0 + r] * spec.mask_value(kk, i0 + r, m),
-                None => src[i0 + r],
+        let src = &av[kk * m + i0..kk * m + i0 + avail];
+        for (r, &v) in src.iter().enumerate() {
+            let x = match mask {
+                Some(mask) => v * mask.value(kk, i0 + r, m),
+                None => v,
             };
             let x = fusion.softmax(x, i0 + r, kk);
-            if let Some(e) = emit {
+            if let Some(e) = fusion.emit {
                 // SAFETY: offset `kk*m + i0 + r` is in-bounds of the emit
                 // buffer (length == av.len() == k*m) and owned by this
                 // strip's column range alone.
@@ -405,29 +501,17 @@ fn pack_a_strip_transposed_fused(
             }
             dst[r] = alpha * x;
         }
-        for d in dst.iter_mut().skip(avail) {
-            *d = 0.0;
-        }
+        dst[avail..].fill(0.0);
     }
 }
 
-/// Packs one `MR`-row strip of the *transpose* of a row-major `k x m`
-/// matrix (the `TN` left operand), folding `alpha` (prologue-free path).
-#[cfg(test)]
-fn pack_a_strip_transposed(av: &[f32], m: usize, k: usize, alpha: f32, i0: usize, out: &mut [f32]) {
-    pack_a_strip_transposed_fused(av, m, k, alpha, i0, PackFusion::NONE, out);
-}
-
-/// Packs one `NR`-column strip of a row-major `k x n` matrix.
-fn pack_b_strip_rowmajor(bv: &[f32], k: usize, n: usize, j0: usize, out: &mut [f32]) {
+/// Packs the `ks` window of one `NR`-column strip of a row-major `k x n`
+/// matrix.
+fn pack_b_strip_rowmajor(bv: &[f32], n: usize, j0: usize, ks: Range<usize>, out: &mut [f32]) {
     let avail = n.saturating_sub(j0).min(NR);
-    for kk in 0..k {
-        let src = &bv[kk * n..(kk + 1) * n];
-        let dst = &mut out[kk * NR..(kk + 1) * NR];
-        dst[..avail].copy_from_slice(&src[j0..j0 + avail]);
-        for d in dst.iter_mut().skip(avail) {
-            *d = 0.0;
-        }
+    for (kk, dst) in ks.zip(out.chunks_exact_mut(NR)) {
+        dst[..avail].copy_from_slice(&bv[kk * n + j0..kk * n + j0 + avail]);
+        dst[avail..].fill(0.0);
     }
 }
 
@@ -439,63 +523,68 @@ fn pack_b_strip_rowmajor(bv: &[f32], k: usize, n: usize, j0: usize, out: &mut [f
 /// unblocked gather, which the packing tests assert.
 const PACK_KB: usize = 256;
 
-/// Packs one `NR`-column strip of the *transpose* of a row-major `n x k`
-/// matrix (the `NT` right operand), `kk`-blocked with the next source row
-/// segment prefetched while the current one is gathered.
-fn pack_b_strip_transposed(bv: &[f32], k: usize, n: usize, j0: usize, out: &mut [f32]) {
+/// Packs the `ks` window of one `NR`-column strip of the *transpose* of a
+/// row-major `n x k` matrix (the `NT` right operand), `kk`-blocked with
+/// the next source row segment prefetched while the current one is
+/// gathered.
+fn pack_b_strip_transposed(
+    bv: &[f32],
+    k: usize,
+    n: usize,
+    j0: usize,
+    ks: Range<usize>,
+    out: &mut [f32],
+) {
     let avail = n.saturating_sub(j0).min(NR);
-    let mut kb = 0;
-    while kb < k {
-        let kend = (kb + PACK_KB).min(k);
+    let mut kb = ks.start;
+    while kb < ks.end {
+        let kend = (kb + PACK_KB).min(ks.end);
         for c in 0..avail {
             if c + 1 < avail {
                 simd::prefetch_read(bv.as_ptr().wrapping_add((j0 + c + 1) * k + kb));
             }
             let src = &bv[(j0 + c) * k + kb..(j0 + c) * k + kend];
             for (kk, &v) in src.iter().enumerate() {
-                out[(kb + kk) * NR + c] = v;
+                out[(kb - ks.start + kk) * NR + c] = v;
             }
         }
         kb = kend;
     }
     if avail < NR {
-        for kk in 0..k {
-            for d in out[kk * NR + avail..(kk + 1) * NR].iter_mut() {
-                *d = 0.0;
-            }
+        for dst in out.chunks_exact_mut(NR).take(ks.len()) {
+            dst[avail..].fill(0.0);
         }
     }
 }
 
-/// Packs all strips of one operand in parallel. `strip_len` is `k*MR` (for
-/// `A`) or `k*NR` (for `B`); strips are disjoint, so tasks write disjoint
+/// Packs strips `first .. first + strips` of one operand in parallel into
+/// consecutive `strip_len` slots of `out`. `strip_len` is `k*MR` (for `A`)
+/// or `k*NR` (for `B`); strips are disjoint, so tasks write disjoint
 /// regions of `out`. Content is a pure copy/transform per strip —
 /// identical at any thread count. A 1-thread pool takes the serial path
 /// without touching the allocator.
 fn pack_parallel(
     pool: &Pool,
     out: &mut [f32],
+    first: usize,
     strips: usize,
     strip_len: usize,
     pack_strip: &(dyn Fn(usize, &mut [f32]) + Sync),
 ) {
-    {
-        use std::sync::OnceLock;
-        static PANELS: OnceLock<lorafusion_trace::metrics::Counter> = OnceLock::new();
-        PANELS
-            .get_or_init(|| lorafusion_trace::metrics::counter("gemm.panels_packed"))
-            .add(strips as u64);
+    count_panels(strips);
+    if strip_len == 0 {
+        return; // `k == 0`: empty strips, nothing to write.
     }
     if pool.threads() <= 1 || strips <= 1 {
-        for s in 0..strips {
-            pack_strip(s, &mut out[s * strip_len..(s + 1) * strip_len]);
+        for (s, slot) in out.chunks_exact_mut(strip_len).take(strips).enumerate() {
+            pack_strip(first + s, slot);
         }
         return;
     }
     let ranges = pool::split_evenly(strips, pool.threads());
     if ranges.len() <= 1 {
-        for s in 0..strips {
-            pack_strip(s, &mut out[s * strip_len..(s + 1) * strip_len]);
+        for (s, slot) in out.chunks_exact_mut(strip_len).take(strips).enumerate() {
+            pack_strip(first + s, slot);
         }
         return;
     }
@@ -506,27 +595,45 @@ fn pack_parallel(
             // SAFETY: strip regions are pairwise disjoint and in-bounds.
             let strip =
                 unsafe { std::slice::from_raw_parts_mut(base.get().add(s * strip_len), strip_len) };
-            pack_strip(s, strip);
+            pack_strip(first + s, strip);
         }
     });
+}
+
+/// Bumps `gemm.panels_packed` by `strips` (whole-matrix strips or
+/// per-block strip windows).
+fn count_panels(strips: usize) {
+    use std::sync::OnceLock;
+    static PANELS: OnceLock<lorafusion_trace::metrics::Counter> = OnceLock::new();
+    PANELS
+        .get_or_init(|| lorafusion_trace::metrics::counter("gemm.panels_packed"))
+        .add(strips as u64);
 }
 
 // ---------------------------------------------------------------------------
 // Microkernel and macro-tile driver
 // ---------------------------------------------------------------------------
 
-/// Accumulates `k` outer products into the register tile. `apanel` is a
-/// `k x MR` packed strip, `bpanel` a `k x NR` one. The `NR` lane loop has
-/// constant bounds and independent lanes, so the compiler vectorizes it;
-/// the per-element reduction order over `kk` is strictly ascending across
-/// the full `k` extent.
+/// Accumulates `kc` outer products into the register tile, in strictly
+/// ascending `kk` order. The `NR` lane loop has constant bounds and
+/// independent lanes, so the compiler vectorizes it. Total: the step count
+/// is clamped to what both panels hold, and every read is a checked `get`.
 #[inline]
-fn microkernel(apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
-    for (a, b) in apanel.chunks_exact(MR).zip(bpanel.chunks_exact(NR)) {
-        for i in 0..MR {
-            let ai = a[i];
-            for j in 0..NR {
-                acc[i][j] += ai * b[j];
+fn microkernel(a: Panel<'_>, b: Panel<'_>, kc: usize, acc: &mut [[f32; NR]; MR]) {
+    let kc = kc.min(a.max_steps(MR)).min(b.max_steps(NR));
+    for kk in 0..kc {
+        let (Some(arow), Some(brow)) =
+            (a.data.get(kk * a.k_stride..), b.data.get(kk * b.k_stride..))
+        else {
+            return;
+        };
+        for (&ai, acc_row) in arow
+            .iter()
+            .step_by(a.lane_stride.max(1))
+            .zip(acc.iter_mut())
+        {
+            for (c, &bv) in acc_row.iter_mut().zip(brow) {
+                *c += ai * bv;
             }
         }
     }
@@ -539,12 +646,21 @@ fn microkernel(apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
 /// `LORAFUSION_SIMD=0` executes on FMA hosts, keeping the env override
 /// bitwise-neutral (see `crate::simd` for the purity rules).
 #[inline]
-fn microkernel_fma(apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
-    for (a, b) in apanel.chunks_exact(MR).zip(bpanel.chunks_exact(NR)) {
-        for i in 0..MR {
-            let ai = a[i];
-            for j in 0..NR {
-                acc[i][j] = ai.mul_add(b[j], acc[i][j]);
+fn microkernel_fma(a: Panel<'_>, b: Panel<'_>, kc: usize, acc: &mut [[f32; NR]; MR]) {
+    let kc = kc.min(a.max_steps(MR)).min(b.max_steps(NR));
+    for kk in 0..kc {
+        let (Some(arow), Some(brow)) =
+            (a.data.get(kk * a.k_stride..), b.data.get(kk * b.k_stride..))
+        else {
+            return;
+        };
+        for (&ai, acc_row) in arow
+            .iter()
+            .step_by(a.lane_stride.max(1))
+            .zip(acc.iter_mut())
+        {
+            for (c, &bv) in acc_row.iter_mut().zip(brow) {
+                *c = ai.mul_add(bv, *c);
             }
         }
     }
@@ -554,11 +670,17 @@ fn microkernel_fma(apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
 /// [`crate::simd`] for how paths are resolved; all three spellings share
 /// the ascending-`kk` per-element reduction order).
 #[inline]
-fn run_microkernel(path: SimdPath, apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
+fn run_microkernel(
+    path: SimdPath,
+    a: Panel<'_>,
+    b: Panel<'_>,
+    kc: usize,
+    acc: &mut [[f32; NR]; MR],
+) {
     match path {
-        SimdPath::Avx2Fma => simd::microkernel_avx2(apanel, bpanel, acc),
-        SimdPath::ScalarFma => microkernel_fma(apanel, bpanel, acc),
-        SimdPath::Scalar => microkernel(apanel, bpanel, acc),
+        SimdPath::Avx2Fma => simd::microkernel_avx2(a, b, kc, acc),
+        SimdPath::ScalarFma => microkernel_fma(a, b, kc, acc),
+        SimdPath::Scalar => microkernel(a, b, kc, acc),
     }
 }
 
@@ -593,6 +715,10 @@ unsafe fn store_tile(
     rowmax_slot: Option<*mut f32>,
     first_jtile: bool,
 ) {
+    let mask = match epilogue {
+        Epilogue::AddMasked(spec) => spec.mask(),
+        _ => DropoutSpec::new(0.0, 0).mask(),
+    };
     for (r, acc_row) in acc.iter().enumerate().take(rows) {
         // SAFETY: per this function's contract the `rows x cols` region at
         // `(i0, j0)` is in-bounds and unaliased, so row `i0 + r` has `cols`
@@ -622,11 +748,11 @@ unsafe fn store_tile(
                     *d += s * v;
                 }
             }
-            Epilogue::AddMasked(spec) => {
+            Epilogue::AddMasked(_) => {
                 for (c, (d, v)) in dst.iter_mut().zip(acc_row).enumerate() {
                     // Always multiply (never branch to skip) so non-finite
                     // products propagate exactly as `hadamard` would.
-                    *d += v * spec.mask_value(i0 + r, j0 + c, n);
+                    *d += v * mask.value(i0 + r, j0 + c, n);
                 }
             }
         }
@@ -643,94 +769,289 @@ unsafe fn store_tile(
     }
 }
 
-/// Accumulator-tile count of one macro-tile, and the `j`-direction stride
-/// of the accumulator buffer's `(ti, tj)` indexing.
-const ACC_TILES_J: usize = NC / NR;
-const ACC_TILES: usize = (MC / MR) * ACC_TILES_J;
+/// How the `A` operand reaches the microkernel in one GEMM call — a pure
+/// function of the call's shape and fusion hooks (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum AFeed {
+    /// Several column blocks reuse every `A` strip: all strips are packed
+    /// once, before the grid runs.
+    Prepacked,
+    /// One column block: full strips are read where they lie — in the
+    /// source, or in the emit buffer the dropout prologue has just written
+    /// for the task's rows — and only an edge strip is packed, per block.
+    InPlace,
+    /// One column block, but the operand needs `alpha` folded or a
+    /// transform the in-place read cannot apply: each strip is packed per
+    /// `KC` block inside its task.
+    BlockPacked,
+}
 
-/// Computes one `MC x NC` macro-tile of `C` from the shared packed panels.
+/// The operands and shape of one GEMM call, shared read-only by every
+/// macro-tile task.
+struct Grid<'a> {
+    path: SimdPath,
+    layout: Layout,
+    alpha: f32,
+    av: &'a [f32],
+    bv: &'a [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    fusion: PackFusion<'a>,
+    epilogue: Epilogue,
+    afeed: AFeed,
+    /// Whole-matrix packed `A` strips ([`AFeed::Prepacked`] only).
+    apack: &'a [f32],
+    /// `B` column strips `< b_in_place` are read in place from `bv`; the
+    /// rest are packed whole-matrix into `bpack`, starting at slot 0.
+    b_in_place: usize,
+    bpack: &'a [f32],
+}
+
+impl Grid<'_> {
+    /// The `kb .. kb + kc` window of `B` column strip `j0 / NR`.
+    fn b_panel(&self, j0: usize, kb: usize, kc: usize) -> Panel<'_> {
+        let t = j0 / NR;
+        if t < self.b_in_place {
+            Panel {
+                data: &self.bv[kb * self.n + j0..],
+                lane_stride: 1,
+                k_stride: self.n,
+            }
+        } else {
+            let slot = (t - self.b_in_place) * self.k * NR;
+            Panel::packed_b(&self.bpack[slot + kb * NR..][..kc * NR])
+        }
+    }
+
+    /// Packs the `ks` window of the `A` strip at row `i0` into `out`,
+    /// through the whole prologue.
+    fn pack_a_block(&self, i0: usize, ks: Range<usize>, out: &mut [f32]) {
+        let (m, k, alpha, fusion) = (self.m, self.k, self.alpha, self.fusion);
+        match self.layout {
+            Layout::Nn | Layout::Nt => {
+                pack_a_strip_rowmajor_fused(self.av, m, k, alpha, i0, ks, fusion, out)
+            }
+            Layout::Tn => pack_a_strip_transposed_fused(self.av, m, alpha, i0, ks, fusion, out),
+        }
+    }
+}
+
+/// The `kb .. kb + kc` window of the `t`-th `A` strip of the macro-tile
+/// whose rows start at `i_lo`: strips `< full_strips` of an in-place feed
+/// read their source (or the task's transformed `emit_rows`), the others
+/// their packed panel.
+#[allow(clippy::too_many_arguments)] // one argument per tile coordinate
+fn a_panel<'s>(
+    g: &'s Grid<'_>,
+    emit_rows: Option<&'s [f32]>,
+    abuf: Option<&'s [f32]>,
+    i_lo: usize,
+    t: usize,
+    full_strips: usize,
+    kb: usize,
+    kc: usize,
+) -> Panel<'s> {
+    let (m, k) = (g.m, g.k);
+    let i0 = i_lo + t * MR;
+    let abuf = abuf.unwrap_or(&[]);
+    match g.afeed {
+        AFeed::Prepacked => Panel::packed_a(&g.apack[(i0 / MR) * k * MR + kb * MR..][..kc * MR]),
+        AFeed::InPlace if t < full_strips => match (emit_rows, g.layout) {
+            (Some(er), _) => Panel {
+                data: &er[(i0 - i_lo) * k + kb..],
+                lane_stride: k,
+                k_stride: 1,
+            },
+            (None, Layout::Tn) => Panel {
+                data: &g.av[kb * m + i0..],
+                lane_stride: 1,
+                k_stride: m,
+            },
+            (None, _) => Panel {
+                data: &g.av[i0 * k + kb..],
+                lane_stride: k,
+                k_stride: 1,
+            },
+        },
+        AFeed::InPlace => Panel::packed_a(&abuf[..kc * MR]),
+        AFeed::BlockPacked => Panel::packed_a(&abuf[t * KC * MR..][..kc * MR]),
+    }
+}
+
+/// Computes one `MC x NC` macro-tile of `C`.
 ///
 /// The `k` reduction is blocked by [`KC`]: for each `kb` block the loop
 /// order is `j`-strip → `i`-strip, so the `KC x NR` `B` window (32 KiB)
 /// stays L1-resident across the `i` loop and the whole block working set
-/// (`A` window + `B` window + accumulator buffer, ≤ 512 KiB) stays
-/// L2-resident — instead of streaming two full-`k` strips per tile, which
-/// made large GEMMs bandwidth-bound. Each `MR x NR` tile's accumulator
-/// lives in a stack buffer between blocks; the round-trip is an exact
-/// `f32` copy, so the per-element reduction order (one ascending-`kk`
-/// chain) and therefore every output bit is identical to the unblocked
-/// loop. Tiles are stored exactly once through the epilogue after the
-/// last block.
-#[allow(clippy::too_many_arguments)] // one argument per tile coordinate
+/// (`A` window + `B` window + accumulator tiles, ≤ 512 KiB) stays
+/// L2-resident. With a streamed `A` feed the block's `A` strips are staged
+/// at the top of each block (dropout written into the task's emit rows,
+/// edge or transformed strips packed into a task-local arena buffer) so
+/// they too are cache-resident when the kernels read them.
+///
+/// When `k` fits one block, each tile is computed by one kernel call from a
+/// zeroed register tile and stored at once. Otherwise each tile parks in a
+/// task-local accumulator buffer between blocks; the round-trip is an
+/// exact `f32` copy, so the per-element reduction order (one
+/// ascending-`kk` chain) and therefore every output bit is identical to the
+/// unblocked loop. Tiles are stored exactly once through the epilogue.
 fn macro_tile(
-    path: SimdPath,
-    apack: &[f32],
-    bpack: &[f32],
+    g: &Grid<'_>,
     cbase: *mut f32,
-    k: usize,
-    n: usize,
-    i_range: std::ops::Range<usize>,
-    j_range: std::ops::Range<usize>,
-    epilogue: Epilogue,
+    i_range: Range<usize>,
+    j_range: Range<usize>,
     rowmax_slot: Option<*mut f32>,
+    mut emit_rows: Option<&mut [f32]>,
 ) {
-    let mut accbuf = [[[0.0f32; NR]; MR]; ACC_TILES];
+    let (m, k, n) = (g.m, g.k, g.n);
+    let i_lo = i_range.start;
+    let strips_i = i_range.len().div_ceil(MR);
+    let strips_j = j_range.len().div_ceil(NR);
+    let full_strips = if g.afeed == AFeed::InPlace {
+        i_range.len() / MR
+    } else {
+        0
+    };
+    let single_block = k <= KC;
+    let mut abuf = match g.afeed {
+        AFeed::Prepacked => None,
+        AFeed::InPlace => (full_strips < strips_i).then(|| Scratch::take_aligned(KC * MR)),
+        AFeed::BlockPacked => Some(Scratch::take_aligned(strips_i * KC * MR)),
+    };
+    let mut accbuf = (!single_block).then(|| Scratch::take_aligned(strips_i * strips_j * MR * NR));
+    let mut parked = accbuf.as_deref_mut().map(|buf| {
+        let tiles = buf.as_chunks_mut::<NR>().0.as_chunks_mut::<MR>().0;
+        tiles.fill([[0.0; NR]; MR]);
+        tiles
+    });
+    let store = |acc: &[[f32; NR]; MR], i0: usize, j0: usize| {
+        // SAFETY: this macro-tile exclusively owns the `i_range x j_range`
+        // region of `C` and rows `i_range` of its row-max partial column,
+        // and `(i0, j0)` plus the clipped tile stays inside it.
+        unsafe {
+            store_tile(
+                acc,
+                cbase,
+                n,
+                i0,
+                j0,
+                MR.min(i_range.end - i0),
+                NR.min(j_range.end - j0),
+                g.epilogue,
+                rowmax_slot,
+                j0 == j_range.start,
+            )
+        }
+    };
+
     let mut kb = 0;
     loop {
         let kend = (kb + KC).min(k);
         let kc = kend - kb;
-        let mut j0 = j_range.start;
-        while j0 < j_range.end {
-            let tj = (j0 - j_range.start) / NR;
-            let bpanel = &bpack[(j0 / NR) * k * NR + kb * NR..][..kc * NR];
-            let mut i0 = i_range.start;
-            while i0 < i_range.end {
-                let ti = (i0 - i_range.start) / MR;
-                let apanel = &apack[(i0 / MR) * k * MR + kb * MR..][..kc * MR];
-                run_microkernel(path, apanel, bpanel, &mut accbuf[ti * ACC_TILES_J + tj]);
-                i0 += MR;
+        // Stage this block's `A` strips.
+        match g.afeed {
+            AFeed::Prepacked => {}
+            AFeed::InPlace => {
+                if let Some(er) = emit_rows.as_deref_mut() {
+                    let mask = g.fusion.dropout.map(|spec| spec.mask());
+                    for row in i_range.clone() {
+                        let src = &g.av[row * k + kb..row * k + kend];
+                        let dst = &mut er[(row - i_lo) * k + kb..(row - i_lo) * k + kend];
+                        apply_dropout_row(mask, src, dst, row, kb, k);
+                    }
+                }
+                if let Some(buf) = abuf.as_deref_mut() {
+                    // The edge strip, from the already-transformed rows.
+                    let i0 = i_lo + full_strips * MR;
+                    let out = &mut buf[..kc * MR];
+                    match (emit_rows.as_deref(), g.layout) {
+                        (Some(er), _) => pack_a_strip_rowmajor_fused(
+                            er,
+                            i_range.len(),
+                            k,
+                            1.0,
+                            i0 - i_lo,
+                            kb..kend,
+                            PackFusion::NONE,
+                            out,
+                        ),
+                        (None, Layout::Tn) => pack_a_strip_transposed_fused(
+                            g.av,
+                            m,
+                            1.0,
+                            i0,
+                            kb..kend,
+                            PackFusion::NONE,
+                            out,
+                        ),
+                        (None, _) => pack_a_strip_rowmajor_fused(
+                            g.av,
+                            m,
+                            k,
+                            1.0,
+                            i0,
+                            kb..kend,
+                            PackFusion::NONE,
+                            out,
+                        ),
+                    }
+                    count_panels(1);
+                }
             }
-            j0 += NR;
+            AFeed::BlockPacked => {
+                if let Some(buf) = abuf.as_deref_mut() {
+                    for (t, slot) in buf.chunks_exact_mut(KC * MR).take(strips_i).enumerate() {
+                        g.pack_a_block(i_lo + t * MR, kb..kend, &mut slot[..kc * MR]);
+                    }
+                    count_panels(strips_i);
+                }
+            }
+        }
+
+        let (er, ab) = (emit_rows.as_deref(), abuf.as_deref());
+        let a_panel = |t: usize| a_panel(g, er, ab, i_lo, t, full_strips, kb, kc);
+        for tj in 0..strips_j {
+            let j0 = j_range.start + tj * NR;
+            let bpanel = g.b_panel(j0, kb, kc);
+            for ti in 0..strips_i {
+                match parked.as_deref_mut() {
+                    Some(tiles) => run_microkernel(
+                        g.path,
+                        a_panel(ti),
+                        bpanel,
+                        kc,
+                        &mut tiles[ti * strips_j + tj],
+                    ),
+                    None => {
+                        let mut acc = [[0.0f32; NR]; MR];
+                        run_microkernel(g.path, a_panel(ti), bpanel, kc, &mut acc);
+                        store(&acc, i_lo + ti * MR, j0);
+                    }
+                }
+            }
         }
         kb = kend;
         if kb >= k {
             break;
         }
     }
-    let mut j0 = j_range.start;
-    while j0 < j_range.end {
-        let cols = NR.min(j_range.end - j0);
-        let tj = (j0 - j_range.start) / NR;
-        let mut i0 = i_range.start;
-        while i0 < i_range.end {
-            let rows = MR.min(i_range.end - i0);
-            let ti = (i0 - i_range.start) / MR;
-            // SAFETY: this macro-tile exclusively owns the
-            // `i_range x j_range` region of `C` and rows `i_range` of its
-            // row-max partial column, and `(i0, j0)` plus `rows x cols`
-            // stays inside it.
-            unsafe {
-                store_tile(
-                    &accbuf[ti * ACC_TILES_J + tj],
-                    cbase,
-                    n,
-                    i0,
-                    j0,
-                    rows,
-                    cols,
-                    epilogue,
-                    rowmax_slot,
-                    j0 == j_range.start,
-                )
-            };
-            i0 += MR;
+    if let Some(tiles) = parked {
+        for tj in 0..strips_j {
+            for ti in 0..strips_i {
+                store(
+                    &tiles[ti * strips_j + tj],
+                    i_lo + ti * MR,
+                    j_range.start + tj * NR,
+                );
+            }
         }
-        j0 += NR;
     }
 }
 
-/// Packs both operands once (through the prologue) and runs the macro-tile
-/// grid on `pool`, storing each tile through the epilogue.
+/// Runs one GEMM: picks the operand feeds, packs what must be packed
+/// before the grid runs, and runs the macro-tile grid on `pool`, storing
+/// each tile through the epilogue.
 ///
 /// `av`/`bv` are interpreted per `layout`; `cv` is the row-major `m x n`
 /// output. `prologue.emit`, when present, must have exactly `av.len()`
@@ -777,66 +1098,123 @@ pub(crate) fn gemm(
         "rowmax partials buffer must be j_blocks x m"
     );
 
+    let i_blocks = m.div_ceil(MC);
+    let j_blocks = n.div_ceil(NC);
     let a_strips = m.div_ceil(MR);
     let b_strips = n.div_ceil(NR);
-    let mut apack = Scratch::take_aligned(a_strips * MR * k);
-    let mut bpack = Scratch::take_aligned(b_strips * NR * k);
-
-    // Keep the `SendPtr` alive on this frame for the whole packing job so
-    // `PackFusion`'s raw pointer to it stays valid.
-    let emit_holder = prologue.emit.map(|e| SendPtr(e.as_mut_ptr()));
+    let emit_base = prologue.emit.map(|e| SendPtr(e.as_mut_ptr()));
     let fusion = PackFusion {
         dropout: prologue.dropout,
         softmax_grad: prologue.softmax_grad,
-        emit: emit_holder.as_ref().map(|h| h as *const SendPtr),
+        emit: emit_base.as_ref().map(SendPtr::get),
+    };
+    let afeed = if j_blocks > 1 {
+        AFeed::Prepacked
+    } else if alpha == 1.0
+        && fusion.softmax_grad.is_none()
+        && match fusion.emit {
+            // In-place reads of a dropout-transformed operand come from
+            // the task's own emit rows, which are contiguous only in the
+            // row-major layouts.
+            Some(_) => layout != Layout::Tn,
+            None => fusion.dropout.is_none(),
+        }
+    {
+        AFeed::InPlace
+    } else {
+        AFeed::BlockPacked
+    };
+    // `B` is read in place when it is row-major and either one row block
+    // reads each strip (no reuse to amortize a pack over) or it is a
+    // single `NR`-wide strip already laid out like a packed panel.
+    let b_in_place = if layout != Layout::Nt && (i_blocks == 1 || n <= NR) {
+        n / NR
+    } else {
+        0
     };
 
-    match layout {
-        Layout::Nn | Layout::Nt => pack_parallel(pool, &mut apack, a_strips, k * MR, &|s, out| {
-            pack_a_strip_rowmajor_fused(av, m, k, alpha, s * MR, fusion, out);
-        }),
-        Layout::Tn => pack_parallel(pool, &mut apack, a_strips, k * MR, &|s, out| {
-            pack_a_strip_transposed_fused(av, m, k, alpha, s * MR, fusion, out);
-        }),
-    }
-    match layout {
-        Layout::Nn | Layout::Tn => pack_parallel(pool, &mut bpack, b_strips, k * NR, &|t, out| {
-            pack_b_strip_rowmajor(bv, k, n, t * NR, out);
-        }),
-        Layout::Nt => pack_parallel(pool, &mut bpack, b_strips, k * NR, &|t, out| {
-            pack_b_strip_transposed(bv, k, n, t * NR, out);
-        }),
-    }
+    let apack = (afeed == AFeed::Prepacked).then(|| {
+        let mut apack = Scratch::take_aligned(a_strips * MR * k);
+        match layout {
+            Layout::Nn | Layout::Nt => {
+                pack_parallel(pool, &mut apack, 0, a_strips, k * MR, &|s, out| {
+                    pack_a_strip_rowmajor_fused(av, m, k, alpha, s * MR, 0..k, fusion, out);
+                })
+            }
+            Layout::Tn => pack_parallel(pool, &mut apack, 0, a_strips, k * MR, &|s, out| {
+                pack_a_strip_transposed_fused(av, m, alpha, s * MR, 0..k, fusion, out);
+            }),
+        }
+        apack
+    });
+    let b_packed = b_strips - b_in_place;
+    let bpack = (b_packed > 0).then(|| {
+        let mut bpack = Scratch::take_aligned(b_packed * NR * k);
+        match layout {
+            Layout::Nn | Layout::Tn => {
+                pack_parallel(pool, &mut bpack, b_in_place, b_packed, k * NR, &|t, out| {
+                    pack_b_strip_rowmajor(bv, n, t * NR, 0..k, out);
+                })
+            }
+            Layout::Nt => pack_parallel(pool, &mut bpack, 0, b_packed, k * NR, &|t, out| {
+                pack_b_strip_transposed(bv, k, n, t * NR, 0..k, out);
+            }),
+        }
+        bpack
+    });
 
-    let i_blocks = m.div_ceil(MC);
-    let j_blocks = n.div_ceil(NC);
-    let apack = apack.as_slice();
-    let bpack = bpack.as_slice();
+    let grid = Grid {
+        path,
+        layout,
+        alpha,
+        av,
+        bv,
+        m,
+        k,
+        n,
+        fusion,
+        epilogue,
+        afeed,
+        apack: apack.as_deref().unwrap_or(&[]),
+        b_in_place,
+        bpack: bpack.as_deref().unwrap_or(&[]),
+    };
+    let grid = &grid;
     let cbase = SendPtr(cv.as_mut_ptr());
     let cbase = &cbase;
     let rowmax_holder = rowmax.map(|r| SendPtr(r.as_mut_ptr()));
     let rowmax_holder = &rowmax_holder;
+    let emit_base = &emit_base;
     pool.run(i_blocks * j_blocks, &|t| {
         let bi = t / j_blocks;
         let bj = t % j_blocks;
         let i_lo = bi * MC;
+        let i_hi = (i_lo + MC).min(m);
         let j_lo = bj * NC;
         // Task-category span: macro-tile execution is where the real
         // FLOPs happen, so Perfetto occupancy comes from these.
         let _tile = lorafusion_trace::task_span!("gemm.macro_tile", bi = bi, bj = bj);
+        // An in-place feed reads the dropout-transformed rows back from
+        // the emit buffer; this task owns exactly rows `i_lo..i_hi` of it.
+        let emit_rows = match (afeed, emit_base) {
+            // SAFETY: with one column block, task `t` is the only task
+            // touching rows `i_lo..i_hi` of the row-major emit buffer
+            // (length `m*k`), and the buffer is mutably borrowed by this
+            // call until `pool.run` returns.
+            (AFeed::InPlace, Some(base)) => Some(unsafe {
+                std::slice::from_raw_parts_mut(base.get().add(i_lo * k), (i_hi - i_lo) * k)
+            }),
+            _ => None,
+        };
         macro_tile(
-            path,
-            apack,
-            bpack,
+            grid,
             cbase.get(),
-            k,
-            n,
-            i_lo..(i_lo + MC).min(m),
+            i_lo..i_hi,
             j_lo..(j_lo + NC).min(n),
-            epilogue,
             // Partial column `bj` of the `[j_blocks x m]` buffer; this
             // task owns rows `i_lo..i_hi` of it exclusively.
             rowmax_holder.as_ref().map(|h| h.get().wrapping_add(bj * m)),
+            emit_rows,
         );
     });
 }
@@ -845,6 +1223,30 @@ pub(crate) fn gemm(
 mod tests {
     use super::*;
     use crate::pool::Pool;
+
+    /// Whole-strip, prologue-free row-major `A` pack.
+    fn pack_a_strip_rowmajor(
+        av: &[f32],
+        m: usize,
+        k: usize,
+        alpha: f32,
+        i0: usize,
+        out: &mut [f32],
+    ) {
+        pack_a_strip_rowmajor_fused(av, m, k, alpha, i0, 0..k, PackFusion::NONE, out);
+    }
+
+    /// Whole-strip, prologue-free transposed `A` pack.
+    fn pack_a_strip_transposed(
+        av: &[f32],
+        m: usize,
+        k: usize,
+        alpha: f32,
+        i0: usize,
+        out: &mut [f32],
+    ) {
+        pack_a_strip_transposed_fused(av, m, alpha, i0, 0..k, PackFusion::NONE, out);
+    }
 
     /// The packed strip of an edge row/column must zero its padding even
     /// when the scratch buffer held stale data.
@@ -863,7 +1265,7 @@ mod tests {
 
         let bv: Vec<f32> = (0..k).map(|v| v as f32 + 1.0).collect(); // 3 x 1
         let mut out = vec![7.0f32; k * NR];
-        pack_b_strip_rowmajor(&bv, k, 1, 0, &mut out);
+        pack_b_strip_rowmajor(&bv, 1, 0, 0..k, &mut out);
         for kk in 0..k {
             assert_eq!(out[kk * NR], kk as f32 + 1.0);
             for c in 1..NR {
@@ -895,8 +1297,8 @@ mod tests {
         for t in 0..n.div_ceil(NR) {
             let mut via_t = vec![0.0f32; k * NR];
             let mut direct = vec![1.0f32; k * NR];
-            pack_b_strip_rowmajor(bt.as_slice(), k, n, t * NR, &mut via_t);
-            pack_b_strip_transposed(b.as_slice(), k, n, t * NR, &mut direct);
+            pack_b_strip_rowmajor(bt.as_slice(), n, t * NR, 0..k, &mut via_t);
+            pack_b_strip_transposed(b.as_slice(), k, n, t * NR, 0..k, &mut direct);
             assert_eq!(via_t, direct, "strip {t}");
         }
     }
@@ -921,17 +1323,16 @@ mod tests {
         }
 
         let mut emit = vec![f32::NAN; m * k];
-        let holder = SendPtr(emit.as_mut_ptr());
         let fusion = PackFusion {
             dropout: Some(spec),
             softmax_grad: None,
-            emit: Some(&holder as *const SendPtr),
+            emit: Some(emit.as_mut_ptr()),
         };
         for s in 0..m.div_ceil(MR) {
             let mut want = vec![0.0f32; k * MR];
             let mut got = vec![1.0f32; k * MR];
             pack_a_strip_rowmajor(masked.as_slice(), m, k, alpha, s * MR, &mut want);
-            pack_a_strip_rowmajor_fused(a.as_slice(), m, k, alpha, s * MR, fusion, &mut got);
+            pack_a_strip_rowmajor_fused(a.as_slice(), m, k, alpha, s * MR, 0..k, fusion, &mut got);
             assert_eq!(want, got, "rowmajor strip {s}");
         }
         assert_eq!(emit, masked.as_slice(), "rowmajor emit");
@@ -948,11 +1349,10 @@ mod tests {
             }
         }
         let mut emit_t = vec![f32::NAN; tk * tm];
-        let holder_t = SendPtr(emit_t.as_mut_ptr());
         let fusion_t = PackFusion {
             dropout: Some(spec),
             softmax_grad: None,
-            emit: Some(&holder_t as *const SendPtr),
+            emit: Some(emit_t.as_mut_ptr()),
         };
         for s in 0..tm.div_ceil(MR) {
             let mut want = vec![0.0f32; tk * MR];
@@ -961,9 +1361,9 @@ mod tests {
             pack_a_strip_transposed_fused(
                 src.as_slice(),
                 tm,
-                tk,
                 alpha,
                 s * MR,
+                0..tk,
                 fusion_t,
                 &mut got,
             );
@@ -991,10 +1391,11 @@ mod tests {
             acc
         };
 
+        let (a, b) = (Panel::packed_a(&apanel), Panel::packed_b(&bpanel));
         let mut fma = base;
-        microkernel_fma(&apanel, &bpanel, &mut fma);
+        microkernel_fma(a, b, k, &mut fma);
         let mut plain = base;
-        microkernel(&apanel, &bpanel, &mut plain);
+        microkernel(a, b, k, &mut plain);
         for i in 0..MR {
             for j in 0..NR {
                 let (x, y) = (fma[i][j], plain[i][j]);
@@ -1007,7 +1408,7 @@ mod tests {
 
         if simd::fma_semantics() {
             let mut vector = base;
-            simd::microkernel_avx2(&apanel, &bpanel, &mut vector);
+            simd::microkernel_avx2(a, b, k, &mut vector);
             for i in 0..MR {
                 for j in 0..NR {
                     assert_eq!(
@@ -1017,6 +1418,73 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Every spelling must compute the same bits from operands read in
+    /// place at their source strides as from the packed panels, and must
+    /// clamp to the steps a short panel holds instead of reading past it.
+    #[test]
+    fn in_place_panels_match_packed_panels() {
+        let (m, k, n) = (MR + 1, 37, NR + 3);
+        let mut rng = crate::rng::Pcg32::seeded(43);
+        let a = crate::tensor::Matrix::random_uniform(m, k, 1.0, &mut rng);
+        let at = a.transpose();
+        let b = crate::tensor::Matrix::random_uniform(k, n, 1.0, &mut rng);
+        let mut apack = vec![0.0f32; k * MR];
+        pack_a_strip_rowmajor(a.as_slice(), m, k, 1.0, 0, &mut apack);
+        let mut bpack = vec![0.0f32; k * NR];
+        pack_b_strip_rowmajor(b.as_slice(), n, 0, 0..k, &mut bpack);
+        let rows = Panel {
+            data: a.as_slice(),
+            lane_stride: k,
+            k_stride: 1,
+        };
+        let cols = Panel {
+            data: at.as_slice(),
+            lane_stride: 1,
+            k_stride: m,
+        };
+        let b_rows = Panel {
+            data: b.as_slice(),
+            lane_stride: 1,
+            k_stride: n,
+        };
+        let mut paths = vec![SimdPath::Scalar, SimdPath::ScalarFma];
+        if simd::fma_semantics() {
+            paths.push(SimdPath::Avx2Fma);
+        }
+        for path in paths {
+            let mut want = [[0.0f32; NR]; MR];
+            run_microkernel(
+                path,
+                Panel::packed_a(&apack),
+                Panel::packed_b(&bpack),
+                k,
+                &mut want,
+            );
+            for (a_in, b_in) in [
+                (rows, Panel::packed_b(&bpack)),
+                (cols, b_rows),
+                (Panel::packed_a(&apack), b_rows),
+            ] {
+                let mut got = [[0.0f32; NR]; MR];
+                run_microkernel(path, a_in, b_in, k, &mut got);
+                assert_eq!(got, want, "{path:?}");
+            }
+            // A panel cut short by 3 steps stops after the steps it holds.
+            let short = Panel::packed_a(&apack[..(k - 3) * MR]);
+            let mut got = [[0.0f32; NR]; MR];
+            run_microkernel(path, short, Panel::packed_b(&bpack), k, &mut got);
+            let mut want_short = [[0.0f32; NR]; MR];
+            run_microkernel(
+                path,
+                Panel::packed_a(&apack),
+                Panel::packed_b(&bpack),
+                k - 3,
+                &mut want_short,
+            );
+            assert_eq!(got, want_short, "{path:?} short panel");
         }
     }
 

@@ -52,16 +52,24 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
+    /// Odd multiplier that decorrelates the counter stream from the seed
+    /// before mixing.
+    pub const COUNTER_MIX: u64 = 0xD6E8_FEB8_6659_FD93;
+
+    /// The hashed 64-bit word behind [`Self::uniform_at`].
+    #[inline]
+    pub fn counter_word(seed: u64, counter: u64) -> u64 {
+        Self::mix(seed ^ counter.wrapping_mul(Self::COUNTER_MIX))
+    }
+
     /// Returns a uniform `f64` in `[0, 1)` derived from a counter value.
     ///
     /// This is the counter-based (stateless) interface: the result depends
     /// only on `(seed, counter)`.
     #[inline]
     pub fn uniform_at(seed: u64, counter: u64) -> f64 {
-        // Decorrelate the seed and counter streams before mixing.
-        let word = Self::mix(seed ^ counter.wrapping_mul(0xD6E8_FEB8_6659_FD93));
         // Use the top 53 bits for a uniform double in [0, 1).
-        (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        (Self::counter_word(seed, counter) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }
 

@@ -34,7 +34,7 @@
 
 use std::sync::OnceLock;
 
-use crate::microkernel::{MR, NR};
+use crate::microkernel::{Panel, MR, NR};
 
 /// Which microkernel spelling a GEMM call executes. See the module docs
 /// for the purity rules; obtain values via [`active_path`] / [`path_for`]
@@ -159,26 +159,28 @@ pub fn prefetch_read(p: *const f32) {
     let _ = p;
 }
 
-/// Runs the explicit AVX2+FMA microkernel: accumulates the full packed
-/// reduction of `apanel` (`k x MR`) against `bpanel` (`k x NR`) into
-/// `acc`, in strictly ascending `kk` order with one correctly-rounded
-/// fused multiply-add per element — bitwise-equal to the `ScalarFma`
-/// twin in `microkernel`.
+/// Runs the explicit AVX2+FMA microkernel: accumulates `kc` steps of the
+/// `a` (`MR` lanes) and `b` (`NR` lanes) panels into `acc`, in strictly
+/// ascending `kk` order with one correctly-rounded fused multiply-add per
+/// element — bitwise-equal to the `ScalarFma` twin in `microkernel`.
+/// The panels may be packed or read in place at their source strides;
+/// `kc` is clamped to the steps both slices hold.
 ///
 /// Panics if the host lacks AVX2+FMA (callers dispatch on [`SimdPath`],
 /// which [`path_for`] only sets to `Avx2Fma` after detection).
 #[inline]
-pub(crate) fn microkernel_avx2(apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
+pub(crate) fn microkernel_avx2(a: Panel<'_>, b: Panel<'_>, kc: usize, acc: &mut [[f32; NR]; MR]) {
     assert!(
         fma_semantics(),
         "SimdPath::Avx2Fma dispatched on a host without AVX2+FMA"
     );
+    let kc = kc.min(a.max_steps(MR)).min(b.max_steps(NR));
     #[cfg(target_arch = "x86_64")]
     // SAFETY: AVX2+FMA availability was just verified via the cached
-    // runtime detection, and the kernel bounds its reads by the panel
-    // slice lengths.
+    // runtime detection, and `kc` is clamped so that every lane of every
+    // step lies inside both panel slices.
     unsafe {
-        avx2::kernel(apanel, bpanel, acc);
+        avx2::kernel(a, b, kc, acc);
     }
     #[cfg(not(target_arch = "x86_64"))]
     unreachable!("fma_semantics() is false off x86-64");
@@ -186,7 +188,7 @@ pub(crate) fn microkernel_avx2(apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; 
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{MR, NR};
+    use super::{Panel, MR, NR};
     use core::arch::x86_64::{
         __m256, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_storeu_ps,
     };
@@ -197,8 +199,10 @@ mod avx2 {
     /// uops per 12 FMAs), unlike the load-port-bound 8x8 predecessor. The
     /// loop is unrolled two steps deep so pointer updates and loop control
     /// stay off the critical ports, and issues no prefetches: under the
-    /// `KC` cache blocking in `macro_tile` the panels are small contiguous
-    /// streams the hardware prefetcher tracks on its own. The per-element
+    /// `KC` cache blocking in `macro_tile` the panels are small
+    /// cache-resident streams the hardware prefetcher tracks on its own.
+    /// The broadcasts read `A` at its panel strides, so a packed strip and
+    /// rows read in place run the same instruction stream. The per-element
     /// reduction is a single ascending-`kk` fused-multiply-add chain —
     /// exactly the scalar `mul_add` twin's order, so the two spellings are
     /// bitwise-equal (unrolling changes nothing: each element's chain
@@ -207,12 +211,13 @@ mod avx2 {
     /// # Safety
     ///
     /// Caller must guarantee AVX2 and FMA are available on the executing
-    /// CPU. All memory access is bounded by the panel slice lengths.
+    /// CPU, and that `kc` steps of both panels lie inside their slices
+    /// (`kc <= panel.max_steps(lanes)`).
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn kernel(apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
-        let k = (apanel.len() / MR).min(bpanel.len() / NR);
-        let mut ap = apanel.as_ptr();
-        let mut bp = bpanel.as_ptr();
+    pub(super) unsafe fn kernel(a: Panel<'_>, b: Panel<'_>, kc: usize, acc: &mut [[f32; NR]; MR]) {
+        let (a_ls, a_ks, b_ks) = (a.lane_stride, a.k_stride, b.k_stride);
+        let mut ap = a.data.as_ptr();
+        let mut bp = b.data.as_ptr();
         let mut c: [[__m256; 2]; MR] = [
             [
                 _mm256_loadu_ps(acc[0].as_ptr()),
@@ -242,29 +247,31 @@ mod avx2 {
         // One `kk` step: two B-strip vector loads plus 6 broadcast-FMA
         // pairs, fully unrolled by the constant row bound so every
         // accumulator stays pinned to its own ymm register across the
-        // whole reduction.
+        // whole reduction. The pointer bumps wrap rather than offset: the
+        // bump after the last step may leave the slice (it is never
+        // dereferenced).
         macro_rules! step {
             () => {
                 let b0 = _mm256_loadu_ps(bp);
                 let b1 = _mm256_loadu_ps(bp.add(8));
                 for (i, ci) in c.iter_mut().enumerate() {
-                    let ai = _mm256_set1_ps(*ap.add(i));
+                    let ai = _mm256_set1_ps(*ap.add(i * a_ls));
                     ci[0] = _mm256_fmadd_ps(ai, b0, ci[0]);
                     ci[1] = _mm256_fmadd_ps(ai, b1, ci[1]);
                 }
-                ap = ap.add(MR);
-                bp = bp.add(NR);
+                ap = ap.wrapping_add(a_ks);
+                bp = bp.wrapping_add(b_ks);
             };
         }
         let mut kk = 0;
-        while kk + 4 <= k {
+        while kk + 4 <= kc {
             step!();
             step!();
             step!();
             step!();
             kk += 4;
         }
-        while kk < k {
+        while kk < kc {
             step!();
             kk += 1;
         }

@@ -17,7 +17,12 @@
 //! replaces (`scale` / `add` / `hadamard` / mask materialization), also
 //! bitwise. A fourth sweeps the full (layout x shape x thread-count)
 //! matrix with the SIMD path forced on and forced off and asserts bitwise
-//! equality — the `LORAFUSION_SIMD` contract.
+//! equality — the `LORAFUSION_SIMD` contract. A fifth covers the narrow
+//! rank-`r` shapes, whose `A` operand the engine reads in place or packs
+//! per block instead of packing it whole: every layout, ragged row counts,
+//! the dropout+emit prologue and the `AddScaled`/`AddMasked` epilogues,
+//! both SIMD spellings and 1/2/4/8 threads, all against the naive
+//! reference.
 
 use lorafusion_tensor::matmul::{
     gemm_fused_on, gemm_fused_on_path, gemm_nn_on, gemm_nt_on, gemm_tn_on, Accumulate, Epilogue,
@@ -25,7 +30,7 @@ use lorafusion_tensor::matmul::{
 };
 use lorafusion_tensor::ops;
 use lorafusion_tensor::pool::Pool;
-use lorafusion_tensor::{dropout_mask, simd, DropoutSpec, Matrix, Pcg32};
+use lorafusion_tensor::{dropout_mask, simd, DropoutSpec, Matrix, Pcg32, SimdPath};
 
 /// Naive `C (+)= alpha * A' @ B'` with per-element ascending-`kk` order and
 /// alpha folded into `A`, matching the engine's single-`k`-block order.
@@ -450,6 +455,136 @@ fn thread_sweep_is_bitwise_identical_on_edge_shapes() {
             let mut c = Matrix::zeros(m, n);
             gemm_tn_on(&pool, 1.25, &at, &b, &mut c, Accumulate::Overwrite).unwrap();
             assert_matches(&format!("tn {m}x{k}x{n} t={threads}"), &c, &tn_ser, true);
+        }
+    }
+}
+
+/// Operands of `C = A' @ B'` for `layout` with logical shape `m x k x n`.
+fn layout_operands(layout: Layout, m: usize, k: usize, n: usize, seed: u64) -> (Matrix, Matrix) {
+    let mut rng = Pcg32::seeded(seed);
+    let (ar, ac) = match layout {
+        Layout::Nn | Layout::Nt => (m, k),
+        Layout::Tn => (k, m),
+    };
+    let (br, bc) = match layout {
+        Layout::Nn | Layout::Tn => (k, n),
+        Layout::Nt => (n, k),
+    };
+    (
+        Matrix::random_gaussian(ar, ac, 1.0, &mut rng),
+        Matrix::random_gaussian(br, bc, 1.0, &mut rng),
+    )
+}
+
+/// The narrow rank-`r` shapes: `n` up to two `NR` strips (ragged or not),
+/// reductions from one short block to several `KC` blocks, and row counts
+/// below `MR` and off the `MR` grid; row counts past one `MC` block at the
+/// single-block reductions; and `r x tokens x hidden` weight-gradient
+/// shapes with a long reduction.
+fn narrow_shapes() -> Vec<(usize, usize, usize)> {
+    let mut shapes = Vec::new();
+    for m in [MR - 1, 2 * MR + 1] {
+        for k in [16, 256, 1000] {
+            for n in [1, 8, NR, NR + 1, 2 * NR] {
+                shapes.push((m, k, n));
+            }
+        }
+    }
+    for k in [16, 256] {
+        for n in [NR, NR + 1] {
+            shapes.push((MC + 5, k, n));
+        }
+    }
+    shapes.extend([(16, 1000, 3 * NR), (16, 600, 40)]);
+    shapes
+}
+
+#[test]
+fn narrow_shapes_match_naive_reference_on_every_path() {
+    // The SIMD spelling at every thread count, the scalar one serial and
+    // parallel: each configuration is checked against the reference, so
+    // all of them agree with each other bitwise.
+    let (on, off) = (simd::path_for(true), simd::path_for(false));
+    let configs: Vec<(usize, SimdPath, Pool)> =
+        [(1, on), (2, on), (4, on), (8, on), (1, off), (2, off)]
+            .into_iter()
+            .map(|(t, path)| (t, path, Pool::new(t)))
+            .collect();
+    for (i, &(m, k, n)) in narrow_shapes().iter().enumerate() {
+        for layout in [Layout::Nn, Layout::Nt, Layout::Tn] {
+            let seed = 11_000 + i as u64;
+            let (a, b) = layout_operands(layout, m, k, n, seed);
+            let trans_a = layout == Layout::Tn;
+            let trans_b = layout == Layout::Nt;
+            let base = Matrix::random_gaussian(m, n, 1.0, &mut Pcg32::seeded(seed + 1));
+            let spec = DropoutSpec::new(0.3, seed).with_row_offset(i % 3);
+            let (src_rows, src_cols) = a.shape();
+            let a_hat =
+                ops::hadamard(&a, &dropout_mask(src_rows, src_cols, &spec).unwrap()).unwrap();
+            let out_mask = dropout_mask(m, n, &spec).unwrap();
+            // Naive references: alpha 1 (the in-place read) and alpha
+            // -0.75 (the per-block pack), overwrite and accumulate; the
+            // prologue from the materialized X̂; the epilogues as the
+            // multi-pass compositions over the naive product.
+            let mut wants = Vec::new();
+            for (alpha, overwrite) in [(1.0f32, true), (1.0, false), (-0.75, true)] {
+                let mut want = base.clone();
+                naive(alpha, &a, &b, &mut want, trans_a, trans_b, overwrite);
+                wants.push((alpha, overwrite, want));
+            }
+            let mut p = Matrix::zeros(m, n);
+            naive(1.0, &a, &b, &mut p, trans_a, trans_b, true);
+            let want_addscaled = ops::add(&base, &ops::scale(-0.5, &p)).unwrap();
+            let want_addmasked = ops::add(&base, &ops::hadamard(&p, &out_mask).unwrap()).unwrap();
+            let mut want_prologue = Matrix::zeros(m, n);
+            naive(1.0, &a_hat, &b, &mut want_prologue, trans_a, trans_b, true);
+
+            for &(threads, path, ref pool) in &configs {
+                let label = format!("{} {m}x{k}x{n} t={threads} {}", layout.tag(), path.tag());
+                let run = |alpha: f32, prologue: Prologue<'_>, epilogue: Epilogue| {
+                    let mut c = base.clone();
+                    gemm_fused_on_path(
+                        pool, path, layout, alpha, &a, &b, &mut c, prologue, epilogue,
+                    )
+                    .unwrap();
+                    c
+                };
+                for (alpha, overwrite, want) in &wants {
+                    let epilogue = if *overwrite {
+                        Epilogue::Overwrite
+                    } else {
+                        Epilogue::Add
+                    };
+                    let got = run(*alpha, Prologue::none(), epilogue);
+                    assert_matches(
+                        &format!("{label} alpha={alpha} ow={overwrite}"),
+                        &got,
+                        want,
+                        true,
+                    );
+                }
+                let got = run(1.0, Prologue::none(), Epilogue::AddScaled(-0.5));
+                assert_matches(&format!("{label} addscaled"), &got, &want_addscaled, true);
+                let got = run(1.0, Prologue::none(), Epilogue::AddMasked(spec));
+                assert_matches(&format!("{label} addmasked"), &got, &want_addmasked, true);
+                let mut emit = vec![f32::NAN; a.len()];
+                let got = run(
+                    1.0,
+                    Prologue {
+                        dropout: Some(spec),
+                        softmax_grad: None,
+                        emit: Some(&mut emit),
+                    },
+                    Epilogue::Overwrite,
+                );
+                assert_matches(&format!("{label} prologue"), &got, &want_prologue, true);
+                assert!(
+                    emit.iter()
+                        .zip(a_hat.as_slice())
+                        .all(|(g, w)| g.to_bits() == w.to_bits()),
+                    "{label} emitted X̂ differs from the materialized one"
+                );
+            }
         }
     }
 }

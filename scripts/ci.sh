@@ -73,8 +73,11 @@ fi
 
 # Dual-path SIMD gate: the digest mode reduces every (layout, shape,
 # threads) cell's output bits to an FNV-1a digest — a pure function of the
-# computed bits. Run it once with SIMD forced off (the safe fallback path)
-# and once under the default dispatch, then diff the two files: the
+# computed bits. The cells include the fused LoRA GEMMs at the narrow
+# rank-16 shapes (dropout+emit, AddMasked, both TN weight gradients, a
+# ragged row count), whose A operand is read in place or packed per
+# block. Run it once with SIMD forced off (the safe fallback path) and
+# once under the default dispatch, then diff the two files: the
 # explicit-SIMD kernel must be bitwise-equal to the fallback on every cell,
 # on this host, on every CI run.
 step "bench_gemm dual-path SIMD gate (size 128)"
