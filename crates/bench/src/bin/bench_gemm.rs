@@ -30,7 +30,7 @@
 //! under `LORAFUSION_SIMD=0` and under the default and diffs the two —
 //! the bitwise dual-path gate. The digest mode also covers the fused LoRA
 //! GEMMs at the narrow rank-16 shapes, whose `A` operand is read in place
-//! or packed per block: the dropout+emit down-projection (`nn`, including
+//! with a per-block pack of the ragged edge strip: the dropout+emit down-projection (`nn`, including
 //! a ragged row count), the mask-routed input gradient (`AddMasked`, `nt`)
 //! and both `tn` weight gradients.
 

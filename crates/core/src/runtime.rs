@@ -441,9 +441,8 @@ mod tests {
         }
     }
 
-    /// A workspace step must report the same losses as the executor it
-    /// replaced, and reject a layout that does not cover the batch before
-    /// touching any state.
+    /// A segment layout that does not cover the batch is rejected before
+    /// any dropout cursor advances; a valid one then steps normally.
     #[test]
     fn invalid_segments_are_rejected_without_advancing_cursors() {
         let mut trainer =

@@ -9,12 +9,9 @@ const SKIP_DIRS: [&str; 5] = ["target", ".git", "fixtures", "results", "node_mod
 /// `(absolute, workspace-relative)` path pairs.
 pub type FileList = Vec<(PathBuf, String)>;
 
-/// All `.rs` files and `Cargo.toml` manifests of the workspace at `root`,
-/// as `(absolute, workspace-relative)` pairs, sorted by relative path so
-/// output order is stable across platforms and filesystems. A nested
-/// directory that is a workspace root of its own (see [`find_root`]) is a
-/// different workspace — cargo builds it separately, against its own
-/// manifests — so it is not walked.
+/// All `.rs` files and `Cargo.toml` manifests under `root`, as
+/// `(absolute, workspace-relative)` pairs, sorted by relative path so
+/// output order is stable across platforms and filesystems.
 pub fn collect_files(root: &Path) -> std::io::Result<(FileList, FileList)> {
     let mut rust = Vec::new();
     let mut manifests = Vec::new();
@@ -26,7 +23,7 @@ pub fn collect_files(root: &Path) -> std::io::Result<(FileList, FileList)> {
             let name = entry.file_name();
             let name = name.to_string_lossy();
             if path.is_dir() {
-                if !SKIP_DIRS.contains(&name.as_ref()) && !is_workspace_root(&path) {
+                if !SKIP_DIRS.contains(&name.as_ref()) {
                     stack.push(path);
                 }
                 continue;
@@ -48,19 +45,16 @@ pub fn collect_files(root: &Path) -> std::io::Result<(FileList, FileList)> {
     Ok((rust, manifests))
 }
 
-/// Whether `dir` holds a `Cargo.toml` with a `[workspace]` table.
-fn is_workspace_root(dir: &Path) -> bool {
-    std::fs::read_to_string(dir.join("Cargo.toml"))
-        .is_ok_and(|src| src.lines().any(|l| l.trim() == "[workspace]"))
-}
-
 /// Finds the workspace root: walks up from `start` until a `Cargo.toml`
 /// containing a `[workspace]` table appears.
 pub fn find_root(start: &Path) -> Option<PathBuf> {
     let mut dir = Some(start.to_path_buf());
     while let Some(d) = dir {
-        if is_workspace_root(&d) {
-            return Some(d);
+        let manifest = d.join("Cargo.toml");
+        if let Ok(src) = std::fs::read_to_string(&manifest) {
+            if src.lines().any(|l| l.trim() == "[workspace]") {
+                return Some(d);
+            }
         }
         dir = d.parent().map(Path::to_path_buf);
     }
@@ -90,31 +84,5 @@ mod tests {
             "fixture inputs must not be linted as tree sources"
         );
         assert!(rust.iter().all(|(_, r)| !r.starts_with("target/")));
-    }
-
-    /// A nested directory with its own `[workspace]` manifest is another
-    /// workspace and is left out of the walk; an ordinary member is not.
-    #[test]
-    fn skips_nested_workspaces() {
-        let root = std::env::temp_dir().join(format!("lint-walk-{}", std::process::id()));
-        let write = |rel: &str, body: &str| {
-            let path = root.join(rel);
-            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-            std::fs::write(path, body).unwrap();
-        };
-        write("Cargo.toml", "[workspace]\nmembers = [\"member\"]\n");
-        write("member/Cargo.toml", "[package]\nname = \"member\"\n");
-        write("member/src/lib.rs", "");
-        write(
-            "nested/Cargo.toml",
-            "[package]\nname = \"nested\"\n\n[workspace]\n",
-        );
-        write("nested/src/main.rs", "");
-        let (rust, manifests) = collect_files(&root).expect("walk");
-        std::fs::remove_dir_all(&root).unwrap();
-        let rust: Vec<&str> = rust.iter().map(|(_, r)| r.as_str()).collect();
-        let manifests: Vec<&str> = manifests.iter().map(|(_, r)| r.as_str()).collect();
-        assert_eq!(rust, ["member/src/lib.rs"]);
-        assert_eq!(manifests, ["Cargo.toml", "member/Cargo.toml"]);
     }
 }

@@ -23,8 +23,8 @@
 //!      layouts) and the kernels then read `X̂` in place from it, so `X`
 //!      is read once and `X̂` written once. When `alpha != 1`, a
 //!      softmax-grad transform, or a transform without a row-major emit
-//!      buffer is requested, every strip is packed per `KC` block inside
-//!      its task instead, so it is still L1/L2-resident when read.
+//!      buffer is requested, the in-place read cannot apply it, and `A`
+//!      takes the whole-matrix pack above.
 //!    * `B` is read in place when it is row-major (`NN`/`TN`) and either
 //!      one row block reads each strip (`m <= MC`, the `r x tokens x n`
 //!      weight gradients, where `B` is the big operand) or it is one
@@ -773,17 +773,14 @@ unsafe fn store_tile(
 /// function of the call's shape and fusion hooks (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AFeed {
-    /// Several column blocks reuse every `A` strip: all strips are packed
-    /// once, before the grid runs.
+    /// Several column blocks reuse every `A` strip, or the operand needs
+    /// `alpha` folded or a transform the in-place read cannot apply: all
+    /// strips are packed once, before the grid runs.
     Prepacked,
     /// One column block: full strips are read where they lie — in the
     /// source, or in the emit buffer the dropout prologue has just written
     /// for the task's rows — and only an edge strip is packed, per block.
     InPlace,
-    /// One column block, but the operand needs `alpha` folded or a
-    /// transform the in-place read cannot apply: each strip is packed per
-    /// `KC` block inside its task.
-    BlockPacked,
 }
 
 /// The operands and shape of one GEMM call, shared read-only by every
@@ -791,7 +788,6 @@ enum AFeed {
 struct Grid<'a> {
     path: SimdPath,
     layout: Layout,
-    alpha: f32,
     av: &'a [f32],
     bv: &'a [f32],
     m: usize,
@@ -821,18 +817,6 @@ impl Grid<'_> {
         } else {
             let slot = (t - self.b_in_place) * self.k * NR;
             Panel::packed_b(&self.bpack[slot + kb * NR..][..kc * NR])
-        }
-    }
-
-    /// Packs the `ks` window of the `A` strip at row `i0` into `out`,
-    /// through the whole prologue.
-    fn pack_a_block(&self, i0: usize, ks: Range<usize>, out: &mut [f32]) {
-        let (m, k, alpha, fusion) = (self.m, self.k, self.alpha, self.fusion);
-        match self.layout {
-            Layout::Nn | Layout::Nt => {
-                pack_a_strip_rowmajor_fused(self.av, m, k, alpha, i0, ks, fusion, out)
-            }
-            Layout::Tn => pack_a_strip_transposed_fused(self.av, m, alpha, i0, ks, fusion, out),
         }
     }
 }
@@ -875,7 +859,6 @@ fn a_panel<'s>(
             },
         },
         AFeed::InPlace => Panel::packed_a(&abuf[..kc * MR]),
-        AFeed::BlockPacked => Panel::packed_a(&abuf[t * KC * MR..][..kc * MR]),
     }
 }
 
@@ -914,11 +897,8 @@ fn macro_tile(
         0
     };
     let single_block = k <= KC;
-    let mut abuf = match g.afeed {
-        AFeed::Prepacked => None,
-        AFeed::InPlace => (full_strips < strips_i).then(|| Scratch::take_aligned(KC * MR)),
-        AFeed::BlockPacked => Some(Scratch::take_aligned(strips_i * KC * MR)),
-    };
+    let mut abuf = (full_strips < strips_i && g.afeed == AFeed::InPlace)
+        .then(|| Scratch::take_aligned(KC * MR));
     let mut accbuf = (!single_block).then(|| Scratch::take_aligned(strips_i * strips_j * MR * NR));
     let mut parked = accbuf.as_deref_mut().map(|buf| {
         let tiles = buf.as_chunks_mut::<NR>().0.as_chunks_mut::<MR>().0;
@@ -950,62 +930,51 @@ fn macro_tile(
         let kend = (kb + KC).min(k);
         let kc = kend - kb;
         // Stage this block's `A` strips.
-        match g.afeed {
-            AFeed::Prepacked => {}
-            AFeed::InPlace => {
-                if let Some(er) = emit_rows.as_deref_mut() {
-                    let mask = g.fusion.dropout.map(|spec| spec.mask());
-                    for row in i_range.clone() {
-                        let src = &g.av[row * k + kb..row * k + kend];
-                        let dst = &mut er[(row - i_lo) * k + kb..(row - i_lo) * k + kend];
-                        apply_dropout_row(mask, src, dst, row, kb, k);
-                    }
-                }
-                if let Some(buf) = abuf.as_deref_mut() {
-                    // The edge strip, from the already-transformed rows.
-                    let i0 = i_lo + full_strips * MR;
-                    let out = &mut buf[..kc * MR];
-                    match (emit_rows.as_deref(), g.layout) {
-                        (Some(er), _) => pack_a_strip_rowmajor_fused(
-                            er,
-                            i_range.len(),
-                            k,
-                            1.0,
-                            i0 - i_lo,
-                            kb..kend,
-                            PackFusion::NONE,
-                            out,
-                        ),
-                        (None, Layout::Tn) => pack_a_strip_transposed_fused(
-                            g.av,
-                            m,
-                            1.0,
-                            i0,
-                            kb..kend,
-                            PackFusion::NONE,
-                            out,
-                        ),
-                        (None, _) => pack_a_strip_rowmajor_fused(
-                            g.av,
-                            m,
-                            k,
-                            1.0,
-                            i0,
-                            kb..kend,
-                            PackFusion::NONE,
-                            out,
-                        ),
-                    }
-                    count_panels(1);
+        if g.afeed == AFeed::InPlace {
+            if let Some(er) = emit_rows.as_deref_mut() {
+                let mask = g.fusion.dropout.map(|spec| spec.mask());
+                for row in i_range.clone() {
+                    let src = &g.av[row * k + kb..row * k + kend];
+                    let dst = &mut er[(row - i_lo) * k + kb..(row - i_lo) * k + kend];
+                    apply_dropout_row(mask, src, dst, row, kb, k);
                 }
             }
-            AFeed::BlockPacked => {
-                if let Some(buf) = abuf.as_deref_mut() {
-                    for (t, slot) in buf.chunks_exact_mut(KC * MR).take(strips_i).enumerate() {
-                        g.pack_a_block(i_lo + t * MR, kb..kend, &mut slot[..kc * MR]);
-                    }
-                    count_panels(strips_i);
+            if let Some(buf) = abuf.as_deref_mut() {
+                // The edge strip, from the already-transformed rows.
+                let i0 = i_lo + full_strips * MR;
+                let out = &mut buf[..kc * MR];
+                match (emit_rows.as_deref(), g.layout) {
+                    (Some(er), _) => pack_a_strip_rowmajor_fused(
+                        er,
+                        i_range.len(),
+                        k,
+                        1.0,
+                        i0 - i_lo,
+                        kb..kend,
+                        PackFusion::NONE,
+                        out,
+                    ),
+                    (None, Layout::Tn) => pack_a_strip_transposed_fused(
+                        g.av,
+                        m,
+                        1.0,
+                        i0,
+                        kb..kend,
+                        PackFusion::NONE,
+                        out,
+                    ),
+                    (None, _) => pack_a_strip_rowmajor_fused(
+                        g.av,
+                        m,
+                        k,
+                        1.0,
+                        i0,
+                        kb..kend,
+                        PackFusion::NONE,
+                        out,
+                    ),
                 }
+                count_panels(1);
             }
         }
 
@@ -1108,9 +1077,7 @@ pub(crate) fn gemm(
         softmax_grad: prologue.softmax_grad,
         emit: emit_base.as_ref().map(SendPtr::get),
     };
-    let afeed = if j_blocks > 1 {
-        AFeed::Prepacked
-    } else if alpha == 1.0
+    let in_place_ok = alpha == 1.0
         && fusion.softmax_grad.is_none()
         && match fusion.emit {
             // In-place reads of a dropout-transformed operand come from
@@ -1118,11 +1085,11 @@ pub(crate) fn gemm(
             // row-major layouts.
             Some(_) => layout != Layout::Tn,
             None => fusion.dropout.is_none(),
-        }
-    {
-        AFeed::InPlace
+        };
+    let afeed = if j_blocks > 1 || !in_place_ok {
+        AFeed::Prepacked
     } else {
-        AFeed::BlockPacked
+        AFeed::InPlace
     };
     // `B` is read in place when it is row-major and either one row block
     // reads each strip (no reuse to amortize a pack over) or it is a
@@ -1166,7 +1133,6 @@ pub(crate) fn gemm(
     let grid = Grid {
         path,
         layout,
-        alpha,
         av,
         bv,
         m,

@@ -523,7 +523,7 @@ fn narrow_shapes_match_naive_reference_on_every_path() {
                 ops::hadamard(&a, &dropout_mask(src_rows, src_cols, &spec).unwrap()).unwrap();
             let out_mask = dropout_mask(m, n, &spec).unwrap();
             // Naive references: alpha 1 (the in-place read) and alpha
-            // -0.75 (the per-block pack), overwrite and accumulate; the
+            // -0.75 (the whole-matrix pack), overwrite and accumulate; the
             // prologue from the materialized X̂; the epilogues as the
             // multi-pass compositions over the naive product.
             let mut wants = Vec::new();
