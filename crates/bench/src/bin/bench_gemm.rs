@@ -23,11 +23,21 @@
 //! `host_cores`, `detected_features`, and the active `simd_path` so rows
 //! from different machines stay comparable.
 //!
+//! Every row also records `peak_gflops`, the register-only FMA probe's
+//! ceiling for the active spelling (`lorafusion_bench::host::peak_gflops`,
+//! one core's probe times the row's thread count), and `pct_of_peak`, the
+//! row's rate as a percentage of it. Both are `null` on the scalar
+//! spellings, which have no probe. The regression gate skips both: the
+//! probe measures the host, and `gflops` already gates the row's rate.
+//!
 //! `BENCH_GEMM_DIGEST=<path>` switches to the timing-free determinism
-//! mode: each (layout, shape, threads) cell's output bits are reduced to
-//! an FNV-1a digest and written to `<path>`, one line per cell. The file
-//! is a pure function of the computed bits, so `scripts/ci.sh` runs it
-//! under `LORAFUSION_SIMD=0` and under the default and diffs the two —
+//! mode: each (layout, shape, threads) cell's output bits, as the active
+//! dispatch computes them, are reduced to an FNV-1a digest and written to
+//! `<path>`, one line per cell. Every cell is also recomputed on every FMA
+//! spelling the host has (`simd::spellings`) in process, and the binary
+//! fails unless all of them produce the active dispatch's bits. The file
+//! is a pure function of the computed bits, so `scripts/ci.sh` also runs
+//! it under `LORAFUSION_SIMD=0` and under the default and diffs the two —
 //! the bitwise dual-path gate. The digest mode also covers the fused LoRA
 //! GEMMs at the narrow rank-16 shapes, whose `A` operand is read in place
 //! with a per-block pack of the ragged edge strip: the dropout+emit down-projection (`nn`, including
@@ -38,11 +48,11 @@ use std::time::Instant;
 
 use lorafusion_bench::{fmt, print_table, report, write_json};
 use lorafusion_tensor::matmul::{
-    gemm_fused_on, gemm_nn_on, gemm_nt_on, gemm_tn_on, Accumulate, Epilogue, Prologue,
+    gemm_fused_on_path, gemm_nn_on, gemm_nt_on, gemm_tn_on, Accumulate, Epilogue, Prologue,
 };
 use lorafusion_tensor::microkernel::Layout;
 use lorafusion_tensor::pool::Pool;
-use lorafusion_tensor::{DropoutSpec, Matrix, Pcg32};
+use lorafusion_tensor::{simd, DropoutSpec, Matrix, Pcg32, SimdPath};
 
 struct Row {
     layout: String,
@@ -53,6 +63,8 @@ struct Row {
     simd_path: String,
     seconds: f64,
     gflops: f64,
+    peak_gflops: Option<f64>,
+    pct_of_peak: Option<f64>,
     speedup_vs_serial: f64,
     bitwise_equal_to_serial: bool,
 }
@@ -65,6 +77,8 @@ lorafusion_bench::impl_to_json!(Row {
     simd_path,
     seconds,
     gflops,
+    peak_gflops,
+    pct_of_peak,
     speedup_vs_serial,
     bitwise_equal_to_serial,
 });
@@ -106,6 +120,55 @@ fn run_once(layout: Layout, pool: &Pool, a: &Matrix, b: &Matrix, c: &mut Matrix)
         Layout::Tn => gemm_tn_on(pool, 1.0, a, b, c, Accumulate::Overwrite),
     }
     .unwrap();
+}
+
+/// Bits of one plain `C = A (x) B` cell on `pool`: computed through the
+/// public entry point (the process's active dispatch), then checked
+/// against every FMA spelling the host has.
+fn plain_cell_bits(
+    layout: Layout,
+    pool: &Pool,
+    a: &Matrix,
+    b: &Matrix,
+    c: &mut Matrix,
+) -> Vec<u32> {
+    run_once(layout, pool, a, b, c);
+    let active = c.as_slice().iter().map(|v| v.to_bits()).collect();
+    checked_against_spellings(active, |path| {
+        gemm_fused_on_path(
+            pool,
+            path,
+            layout,
+            1.0,
+            a,
+            b,
+            c,
+            Prologue::none(),
+            Epilogue::Overwrite,
+        )
+        .expect("cell shapes agree");
+        c.as_slice().iter().map(|v| v.to_bits()).collect()
+    })
+}
+
+/// Returns `active`, the bits of a digest cell under the process's active
+/// dispatch, after recomputing the cell on every spelling in
+/// `simd::spellings()`; panics if any spelling's bits differ. The digest
+/// file therefore records the dispatch `LORAFUSION_SIMD` selects, so the
+/// env-var diff in `scripts/ci.sh` compares two dispatches.
+fn checked_against_spellings(
+    active: Vec<u32>,
+    mut on_path: impl FnMut(SimdPath) -> Vec<u32>,
+) -> Vec<u32> {
+    for &path in simd::spellings() {
+        assert!(
+            on_path(path) == active,
+            "{} diverged from the active dispatch ({}) on a digest cell",
+            path.tag(),
+            simd::active_path().tag()
+        );
+    }
+    active
 }
 
 /// One untimed warm-up (whose output feeds the bitwise check), then `reps`
@@ -194,34 +257,37 @@ fn fused_cell_digests(cell: &FusedCell, pools: &[Pool], sweep: &[usize]) -> Vec<
     let mut serial_bits: Vec<u32> = Vec::new();
     let mut lines = Vec::new();
     for (pool, &threads) in pools.iter().zip(sweep) {
-        let mut c = base.clone();
-        let mut emit = vec![0.0f32; if cell.dropout_emit { a.len() } else { 0 }];
-        let prologue = if cell.dropout_emit {
-            Prologue {
-                dropout: Some(spec),
-                softmax_grad: None,
-                emit: Some(&mut emit),
-            }
-        } else {
-            Prologue::none()
+        let on_path = |path| {
+            let mut c = base.clone();
+            let mut emit = vec![0.0f32; if cell.dropout_emit { a.len() } else { 0 }];
+            let prologue = if cell.dropout_emit {
+                Prologue {
+                    dropout: Some(spec),
+                    softmax_grad: None,
+                    emit: Some(&mut emit),
+                }
+            } else {
+                Prologue::none()
+            };
+            gemm_fused_on_path(
+                pool,
+                path,
+                cell.layout,
+                1.0,
+                &a,
+                &b,
+                &mut c,
+                prologue,
+                cell.epilogue,
+            )
+            .expect("fused cell shapes agree");
+            c.as_slice()
+                .iter()
+                .chain(&emit)
+                .map(|v| v.to_bits())
+                .collect()
         };
-        gemm_fused_on(
-            pool,
-            cell.layout,
-            1.0,
-            &a,
-            &b,
-            &mut c,
-            prologue,
-            cell.epilogue,
-        )
-        .expect("fused cell shapes agree");
-        let bits: Vec<u32> = c
-            .as_slice()
-            .iter()
-            .chain(&emit)
-            .map(|v| v.to_bits())
-            .collect();
+        let bits = checked_against_spellings(on_path(simd::active_path()), on_path);
         if threads == 1 {
             serial_bits = bits.clone();
         }
@@ -291,6 +357,12 @@ fn main() {
         .filter(|p| !p.is_empty());
     let mut digest_lines: Vec<String> = Vec::new();
 
+    // One core's FMA ceiling for the active spelling; a row's peak scales
+    // it by the threads the row runs on. Measured only when rows are timed.
+    let core_peak = digest_path
+        .is_none()
+        .then(|| lorafusion_bench::host::peak_gflops(simd::active_path()))
+        .flatten();
     let square_flops = 2.0 * (size as f64).powi(3);
     let mut rows: Vec<Row> = Vec::new();
     for &(m, k, n) in &shapes {
@@ -309,8 +381,7 @@ fn main() {
                 let mut serial_bits: Vec<u32> = Vec::new();
                 for (pool, &threads) in pools.iter().zip(&sweep) {
                     let mut c = Matrix::zeros(m, n);
-                    run_once(layout, pool, &a, &b, &mut c);
-                    let bits: Vec<u32> = c.as_slice().iter().map(|v| v.to_bits()).collect();
+                    let bits = plain_cell_bits(layout, pool, &a, &b, &mut c);
                     if threads == 1 {
                         serial_bits = bits.clone();
                     }
@@ -335,6 +406,8 @@ fn main() {
                     serial_seconds = seconds;
                     serial_bits = bits.clone();
                 }
+                let gflops = flops / seconds / 1e9;
+                let peak_gflops = core_peak.map(|p| p * threads as f64);
                 rows.push(Row {
                     layout: layout.tag().to_string(),
                     shape: format!("{m}x{k}x{n}"),
@@ -343,7 +416,9 @@ fn main() {
                     detected_features: detected_features.to_string(),
                     simd_path: simd_path.to_string(),
                     seconds,
-                    gflops: flops / seconds / 1e9,
+                    gflops,
+                    peak_gflops,
+                    pct_of_peak: peak_gflops.map(|p| 100.0 * gflops / p),
                     speedup_vs_serial: serial_seconds / seconds,
                     bitwise_equal_to_serial: bits == serial_bits,
                 });
@@ -357,9 +432,12 @@ fn main() {
         }
         let body = digest_lines.join("\n") + "\n";
         std::fs::write(&path, body).expect("failed to write digest file");
+        let spellings: Vec<&str> = simd::spellings().iter().map(|p| p.tag()).collect();
         println!(
-            "(BENCH_GEMM_DIGEST: wrote {} cell digests to {path}; path={simd_path})",
-            digest_lines.len()
+            "(BENCH_GEMM_DIGEST: wrote {} cell digests to {path}; path={simd_path}; \
+             every cell bitwise-equal on {})",
+            digest_lines.len(),
+            spellings.join(", ")
         );
         return;
     }
@@ -373,19 +451,27 @@ fn main() {
                 r.threads.to_string(),
                 fmt(r.seconds * 1e3, 2),
                 fmt(r.gflops, 2),
+                r.pct_of_peak.map_or("-".to_string(), |p| fmt(p, 1)),
                 fmt(r.speedup_vs_serial, 2),
                 r.bitwise_equal_to_serial.to_string(),
             ]
         })
         .collect();
+    let probe = core_peak.map_or("no FMA probe".to_string(), |p| {
+        format!("FMA probe {p:.1} GFLOP/s per core")
+    });
     print_table(
-        &format!("GEMM sweep (base size {size}, median of per-iteration times)"),
+        &format!(
+            "GEMM sweep (base size {size}, median of per-iteration times; \
+             {probe} on {simd_path})"
+        ),
         &[
             "layout",
             "shape",
             "threads",
             "ms/iter",
             "GFLOP/s",
+            "% of peak",
             "speedup",
             "bitwise=serial",
         ],

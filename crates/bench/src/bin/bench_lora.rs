@@ -14,7 +14,11 @@
 //!
 //! Timing is the median of individually timed iterations after one
 //! warm-up, like `bench_gemm`, with the two executors' iterations
-//! interleaved so background-load swings cannot skew the ratio.
+//! interleaved so background-load swings cannot skew the ratio. Every
+//! `speedup_vs_reference` divides a reference time by a fused time
+//! measured at the same thread count. The timed thread sweep is clamped
+//! to the host's cores (`pool::host_parallelism`, as `bench_gemm` does);
+//! larger counts are still checked bitwise, untimed.
 //! Correctness is asserted on the spot:
 //! fused `y` must be *bitwise* equal to the reference `y` at every
 //! shape, gradients must agree to tolerance, and the fused step must be
@@ -81,6 +85,27 @@ fn fused_step(ws: &mut fused::Workspace, layer: &LoraLayer, x: &Matrix, dy: &Mat
     ws.backward_into(layer, dy).unwrap();
 }
 
+/// Times two steps as the medians of `reps` individually timed,
+/// interleaved iterations (one `a`, one `b`, repeat) after one untimed
+/// warm-up of each, so background-load swings hit both equally.
+fn time_interleaved(reps: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    a();
+    b();
+    let mut a_times = Vec::with_capacity(reps);
+    let mut b_times = Vec::with_capacity(reps);
+    for _ in 0..reps {
+        let start = Instant::now();
+        a();
+        a_times.push(start.elapsed().as_secs_f64());
+        let start = Instant::now();
+        b();
+        b_times.push(start.elapsed().as_secs_f64());
+    }
+    a_times.sort_by(f64::total_cmp);
+    b_times.sort_by(f64::total_cmp);
+    (a_times[reps / 2], b_times[reps / 2])
+}
+
 /// Times `step` as the median of `reps` individually timed iterations
 /// after one untimed warm-up.
 fn time_median(reps: usize, mut step: impl FnMut()) -> f64 {
@@ -143,31 +168,16 @@ fn main() {
         // Iterations are *interleaved* (one reference step, one fused
         // step, repeat) so background-load swings hit both executors
         // equally instead of skewing whichever ran in the slower window.
+        let ref_step = || {
+            let f = reference::forward(&layer, &x, 0, &t).unwrap();
+            let b = reference::backward(&layer, &f.saved, &dy, &t).unwrap();
+            std::hint::black_box((f.y, b.dx));
+        };
         let serial = Pool::new(1);
         let (ref_seconds, fused_seconds, serial_bits) = with_pool(&serial, || {
             let mut ws = fused::Workspace::new();
-            let ref_step = |black: &mut usize| {
-                let f = reference::forward(&layer, &x, 0, &t).unwrap();
-                let b = reference::backward(&layer, &f.saved, &dy, &t).unwrap();
-                *black = std::hint::black_box(f.y.as_slice().len() + b.dx.as_slice().len());
-            };
-            let mut black = 0usize;
-            ref_step(&mut black);
-            fused_step(&mut ws, &layer, &x, &dy);
-            let mut ref_times = Vec::with_capacity(reps);
-            let mut fused_times = Vec::with_capacity(reps);
-            for _ in 0..reps {
-                let start = Instant::now();
-                ref_step(&mut black);
-                ref_times.push(start.elapsed().as_secs_f64());
-                let start = Instant::now();
-                fused_step(&mut ws, &layer, &x, &dy);
-                fused_times.push(start.elapsed().as_secs_f64());
-            }
-            ref_times.sort_by(f64::total_cmp);
-            fused_times.sort_by(f64::total_cmp);
-            let ref_seconds = ref_times[reps / 2];
-            let fused_seconds = fused_times[reps / 2];
+            let (ref_seconds, fused_seconds) =
+                time_interleaved(reps, ref_step, || fused_step(&mut ws, &layer, &x, &dy));
 
             // Correctness gate: the fused epilogue/prologue step must
             // reproduce the multi-pass forward bit-for-bit and the
@@ -251,13 +261,24 @@ fn main() {
             planned_bitwise,
         ));
 
-        // Determinism sweep: the fused step must be bitwise reproducible
-        // at every thread count.
+        // Thread sweep: the fused step must be bitwise reproducible at
+        // every thread count. Counts up to the host's cores are also
+        // timed, reference and fused interleaved on the same pool, so the
+        // ratio compares the two executors at equal threads; larger counts
+        // would time oversubscription, not the executors.
         for threads in [2usize, 4, 8] {
             let pool = Pool::new(threads);
+            let timed = threads <= host_cores;
             let (seconds, equal) = with_pool(&pool, || {
                 let mut ws = fused::Workspace::new();
-                let seconds = time_median(3, || fused_step(&mut ws, &layer, &x, &dy));
+                let seconds = if timed {
+                    Some(time_interleaved(3, ref_step, || {
+                        fused_step(&mut ws, &layer, &x, &dy)
+                    }))
+                } else {
+                    fused_step(&mut ws, &layer, &x, &dy);
+                    None
+                };
                 let equal = bits(&ws.y) == serial_bits.y
                     && bits(&ws.dx) == serial_bits.dx
                     && bits(&ws.da) == serial_bits.da
@@ -268,14 +289,24 @@ fn main() {
                 equal,
                 "fused step diverged at {threads} threads for {shape}"
             );
-            rows.push(row(
-                "fused".into(),
-                &shape,
-                threads,
-                seconds,
-                ref_seconds / seconds,
-                equal,
-            ));
+            if let Some((ref_seconds, seconds)) = seconds {
+                rows.push(row(
+                    "reference".into(),
+                    &shape,
+                    threads,
+                    ref_seconds,
+                    1.0,
+                    true,
+                ));
+                rows.push(row(
+                    "fused".into(),
+                    &shape,
+                    threads,
+                    seconds,
+                    ref_seconds / seconds,
+                    equal,
+                ));
+            }
         }
     }
 

@@ -8,7 +8,9 @@
 //! them as provenance and never compares them, but they must stay
 //! consistently named across binaries for that skip list to hold.
 
-use lorafusion_tensor::{pool, simd};
+use std::time::Instant;
+
+use lorafusion_tensor::{pool, simd, SimdPath};
 
 /// One row's worth of host provenance.
 #[derive(Debug, Clone)]
@@ -31,6 +33,33 @@ pub fn host_info() -> HostInfo {
     }
 }
 
+/// Rounds of one timed [`simd::fma_probe`] run: ~150 MFLOP on the
+/// AVX-512 spelling, about a millisecond at this core's ceiling.
+const PROBE_ROUNDS: usize = 200_000;
+/// Timed probe runs; the fastest is the one least disturbed by other
+/// load on the core.
+const PROBE_REPS: usize = 15;
+
+/// One core's arithmetic ceiling for `path` in GFLOP/s: the fastest of
+/// [`PROBE_REPS`] timed runs of the register-only FMA probe in
+/// `tensor::simd`. This is the roofline the GEMM benches quote their
+/// rates against (`peak_gflops`, `pct_of_peak`). `None` for the scalar
+/// spellings, which have no probe.
+///
+/// Panics if `path` is not supported on this host.
+pub fn peak_gflops(path: SimdPath) -> Option<f64> {
+    let mut flops = 0.0;
+    let mut best = f64::INFINITY;
+    for _ in 0..PROBE_REPS {
+        let start = Instant::now();
+        let (done, value) = simd::fma_probe(path, std::hint::black_box(PROBE_ROUNDS))?;
+        std::hint::black_box(value);
+        best = best.min(start.elapsed().as_secs_f64());
+        flops = done;
+    }
+    Some(flops / best / 1e9)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -45,5 +74,16 @@ mod tests {
         assert_eq!(a.host_cores, b.host_cores);
         assert_eq!(a.detected_features, b.detected_features);
         assert_eq!(a.simd_path, b.simd_path);
+    }
+
+    #[test]
+    fn peak_probe_reads_a_positive_rate_on_vector_spellings_only() {
+        for &path in simd::spellings() {
+            match (path, peak_gflops(path)) {
+                (SimdPath::ScalarFma | SimdPath::Scalar, peak) => assert_eq!(peak, None),
+                (_, Some(gflops)) => assert!(gflops.is_finite() && gflops > 0.0, "{path:?}"),
+                (_, None) => panic!("{path:?} has no probe"),
+            }
+        }
     }
 }

@@ -86,17 +86,20 @@ fn gemm_trace(layout: Layout, m: usize, k: usize, n: usize) -> SpanGuard {
 }
 
 /// Bumps the per-path dispatch counters so traces show which microkernel
-/// spelling actually ran: `gemm.simd_dispatch.avx2` for the explicit
-/// vector kernel, `gemm.simd_dispatch.fallback` for either scalar twin.
+/// spelling actually ran: `gemm.simd_dispatch.avx512` and
+/// `gemm.simd_dispatch.avx2` for the explicit vector kernels,
+/// `gemm.simd_dispatch.fallback` for either scalar twin.
 fn count_dispatch(path: SimdPath) {
-    static METRICS: std::sync::OnceLock<(Counter, Counter)> = std::sync::OnceLock::new();
-    let (avx2, fallback) = METRICS.get_or_init(|| {
-        (
+    static METRICS: std::sync::OnceLock<[Counter; 3]> = std::sync::OnceLock::new();
+    let [avx512, avx2, fallback] = METRICS.get_or_init(|| {
+        [
+            counter("gemm.simd_dispatch.avx512"),
             counter("gemm.simd_dispatch.avx2"),
             counter("gemm.simd_dispatch.fallback"),
-        )
+        ]
     });
     match path {
+        SimdPath::Avx512Fma => avx512.incr(),
         SimdPath::Avx2Fma => avx2.incr(),
         SimdPath::ScalarFma | SimdPath::Scalar => fallback.incr(),
     }
@@ -414,6 +417,42 @@ pub fn gemm_windows_rowmax_on(
     epilogue: Epilogue,
     rowmax_partials: &mut [f32],
 ) -> Result<()> {
+    gemm_windows_rowmax_on_path(
+        pool,
+        simd::active_path(),
+        layout,
+        alpha,
+        a,
+        b,
+        c,
+        m,
+        k,
+        n,
+        prologue,
+        epilogue,
+        rowmax_partials,
+    )
+}
+
+/// [`gemm_windows_rowmax_on`] with an explicit microkernel spelling, as
+/// [`gemm_fused_on_path`] is to [`gemm_fused_on`]. `path` must be
+/// supported on this host.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_windows_rowmax_on_path(
+    pool: &Pool,
+    path: SimdPath,
+    layout: Layout,
+    alpha: f32,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    prologue: Prologue<'_>,
+    epilogue: Epilogue,
+    rowmax_partials: &mut [f32],
+) -> Result<()> {
     for (len, want) in [
         (a.len(), m * k),
         (b.len(), k * n),
@@ -429,7 +468,6 @@ pub fn gemm_windows_rowmax_on(
     }
     check_fusion(&prologue, &epilogue, a.len(), m, k)?;
     let _span = gemm_trace(layout, m, k, n);
-    let path = simd::active_path();
     count_dispatch(path);
     microkernel::gemm(
         pool,

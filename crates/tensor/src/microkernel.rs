@@ -51,14 +51,23 @@
 //!    of the reduction per invocation. When `k` fits one block the tile is
 //!    stored straight from the kernel's result; otherwise it parks in an
 //!    exact `f32` task-local buffer between blocks (see [`KC`] for why this
-//!    cannot change a bit). The kernel has three spellings selected by
-//!    [`SimdPath`]: an explicit AVX2+FMA kernel (confined to
-//!    `crate::simd`), a scalar `mul_add` twin that matches it bit for bit,
-//!    and the historical auto-vectorized mul-then-add kernel for non-FMA
-//!    hosts. All three read a packed panel and an in-place one through the
-//!    same strides. One invocation owns its output tile exclusively. When
-//!    the tile is complete it is stored exactly once, through an
-//!    [`Epilogue`] applied while the values are still in registers:
+//!    cannot change a bit). The kernel has four spellings selected by
+//!    [`SimdPath`]: explicit AVX-512 and AVX2+FMA kernels (confined to
+//!    `crate::simd`), a scalar `mul_add` twin that matches them bit for
+//!    bit, and the historical auto-vectorized mul-then-add kernel for
+//!    non-FMA hosts. The AVX-512 kernel accumulates a *tile group* — the
+//!    2 x 2 block of adjacent tiles two `A` strips and two `B` strips span,
+//!    12 x 32 outputs in 24 `zmm` registers — in one call; at the grid's
+//!    far edges the group shrinks to 12 x 16, 6 x 32 or 6 x 16, and a grid
+//!    one column strip wide (the `n = 16` rank-`r` outputs) runs 6 x 16. Every other spelling runs one tile per
+//!    call. Grouping changes which register holds an element, never its
+//!    chain, so the packing layouts, `MR`/`NR`/[`MC`]/[`NC`], the operand
+//!    feeds and every output bit are the same on every path. All spellings
+//!    read packed panels and in-place ones through the same strides. One
+//!    invocation owns its output tiles exclusively. When a tile is
+//!    complete it is stored exactly once, through an [`Epilogue`] applied
+//!    while the values are still in registers, each row's tiles in
+//!    ascending column order:
 //!    overwrite, accumulate, scale-by-alpha, or
 //!    accumulate-through-a-dropout-mask. This is what lets the LoRA
 //!    executors drop their standalone `scale` / `hadamard` / `add`
@@ -103,7 +112,7 @@ use std::ops::Range;
 use crate::arena::Scratch;
 use crate::dropout::{DropoutSpec, Mask};
 use crate::pool::{self, Pool};
-use crate::simd::{self, SimdPath};
+use crate::simd::{self, SimdPath, TileGroup};
 
 /// Microkernel tile rows: rows of `C` accumulated per invocation.
 ///
@@ -114,7 +123,9 @@ use crate::simd::{self, SimdPath};
 /// broadcasts + 2 `B` loads) — the FMA ports saturate before the load
 /// ports do. The earlier 8x8 shape was the opposite (9 load uops per 8
 /// FMAs, load-port-bound at ~89% of FMA peak); 8x16 and 12x8 spill
-/// registers and collapse entirely.
+/// registers and collapse entirely. The AVX-512 kernel keeps this tile
+/// and computes a 2 x 2 group of them per call (24 zmm accumulators, 24
+/// FMAs per 14 loads; see `crate::simd`).
 pub const MR: usize = 6;
 /// Microkernel tile columns: the vector lane dimension — two 8-lane AVX2
 /// vectors per row (and two auto-vectorized lanes-of-8 in the scalar
@@ -131,6 +142,11 @@ pub const NR: usize = 16;
 /// exact, so the per-element reduction is still one ascending-`k` chain
 /// regardless of `k` — bitwise-equal to the unblocked loop at every `k`,
 /// which the fuzz suite asserts.
+///
+/// The AVX-512 tile group streams two windows of each operand (24 KiB /
+/// 64 KiB), more than the L1d. Its rates at `KC` 128, 256 and 512 on a
+/// 2-vCPU Sapphire Rapids guest stayed within run-to-run noise of each
+/// other, so every path shares this `KC`.
 pub const KC: usize = 512;
 /// Macro-tile rows (`i`-block). Must be a multiple of [`MR`] so packed row
 /// strips never straddle two macro-tiles.
@@ -331,6 +347,14 @@ pub(crate) struct Panel<'a> {
 }
 
 impl<'a> Panel<'a> {
+    /// A panel holding no steps: the placeholder for the unused strips
+    /// of a ragged tile group.
+    const EMPTY: Panel<'static> = Panel {
+        data: &[],
+        lane_stride: 1,
+        k_stride: 0,
+    };
+
     fn packed_a(data: &'a [f32]) -> Self {
         Self {
             data,
@@ -666,21 +690,27 @@ fn microkernel_fma(a: Panel<'_>, b: Panel<'_>, kc: usize, acc: &mut [[f32; NR]; 
     }
 }
 
-/// Runs the microkernel spelling selected by `path` (see
-/// [`crate::simd`] for how paths are resolved; all three spellings share
-/// the ascending-`kk` per-element reduction order).
+/// Accumulates the group of `a.len() x b.len()` tiles (at most the
+/// path's [`SimdPath::tile_group`]) spanned by the row strips `a` and
+/// the column strips `b`; tile `(r, c)` is slot `r * 2 + c` of `acc`. The
+/// AVX-512 path computes the whole group in one register block, the
+/// others one tile per kernel call (see [`crate::simd`] for how paths are
+/// resolved) — the same bits either way, since every spelling shares the
+/// ascending-`kk` per-element reduction order.
 #[inline]
-fn run_microkernel(
-    path: SimdPath,
-    a: Panel<'_>,
-    b: Panel<'_>,
-    kc: usize,
-    acc: &mut [[f32; NR]; MR],
-) {
-    match path {
-        SimdPath::Avx2Fma => simd::microkernel_avx2(a, b, kc, acc),
-        SimdPath::ScalarFma => microkernel_fma(a, b, kc, acc),
-        SimdPath::Scalar => microkernel(a, b, kc, acc),
+fn run_group(path: SimdPath, a: &[Panel<'_>], b: &[Panel<'_>], kc: usize, acc: &mut TileGroup) {
+    let tile_kernel: fn(Panel<'_>, Panel<'_>, usize, &mut [[f32; NR]; MR]) = match path {
+        SimdPath::Avx512Fma => return simd::microkernel_avx512(a, b, kc, acc),
+        SimdPath::Avx2Fma => simd::microkernel_avx2,
+        SimdPath::ScalarFma => microkernel_fma,
+        SimdPath::Scalar => microkernel,
+    };
+    for (r, &ap) in a.iter().enumerate() {
+        for (c, &bp) in b.iter().enumerate() {
+            if let Some(tile) = acc.get_mut(r * 2 + c) {
+                tile_kernel(ap, bp, kc, tile);
+            }
+        }
     }
 }
 
@@ -809,8 +839,10 @@ impl Grid<'_> {
     fn b_panel(&self, j0: usize, kb: usize, kc: usize) -> Panel<'_> {
         let t = j0 / NR;
         if t < self.b_in_place {
+            // `get`: with `k == 0` the source is empty and the panel holds
+            // no steps, whatever its column.
             Panel {
-                data: &self.bv[kb * self.n + j0..],
+                data: self.bv.get(kb * self.n + j0..).unwrap_or(&[]),
                 lane_stride: 1,
                 k_stride: self.n,
             }
@@ -848,7 +880,7 @@ fn a_panel<'s>(
                 k_stride: 1,
             },
             (None, Layout::Tn) => Panel {
-                data: &g.av[kb * m + i0..],
+                data: g.av.get(kb * m + i0..).unwrap_or(&[]),
                 lane_stride: 1,
                 k_stride: m,
             },
@@ -925,6 +957,15 @@ fn macro_tile(
         }
     };
 
+    // A grid one column strip wide (the `n = 16` rank-`r` outputs) runs
+    // one 6x16 tile per call: there the AVX-512 path's 12x16 group ran
+    // the `tn` weight gradient ~20% slower than 6x16 tiles.
+    let (gi, gj) = if strips_j == 1 {
+        (1, 1)
+    } else {
+        g.path.tile_group()
+    };
+    let mut group: TileGroup = [[[0.0; NR]; MR]; 4];
     let mut kb = 0;
     loop {
         let kend = (kb + KC).min(k);
@@ -980,22 +1021,37 @@ fn macro_tile(
 
         let (er, ab) = (emit_rows.as_deref(), abuf.as_deref());
         let a_panel = |t: usize| a_panel(g, er, ab, i_lo, t, full_strips, kb, kc);
-        for tj in 0..strips_j {
+        // Tile groups: `gi x gj` adjacent strips per kernel call, ragged
+        // at the grid's far edges. Within a group, and across the `tj`
+        // loop, each row strip's tiles are stored in ascending column
+        // order, as the row-max sink's `first_jtile` contract needs.
+        for tj in (0..strips_j).step_by(gj) {
+            let nj = gj.min(strips_j - tj);
             let j0 = j_range.start + tj * NR;
-            let bpanel = g.b_panel(j0, kb, kc);
-            for ti in 0..strips_i {
-                match parked.as_deref_mut() {
-                    Some(tiles) => run_microkernel(
-                        g.path,
-                        a_panel(ti),
-                        bpanel,
-                        kc,
-                        &mut tiles[ti * strips_j + tj],
-                    ),
-                    None => {
-                        let mut acc = [[0.0f32; NR]; MR];
-                        run_microkernel(g.path, a_panel(ti), bpanel, kc, &mut acc);
-                        store(&acc, i_lo + ti * MR, j0);
+            let mut bpanels = [Panel::EMPTY; 2];
+            for (c, p) in bpanels.iter_mut().enumerate().take(nj) {
+                *p = g.b_panel(j0 + c * NR, kb, kc);
+            }
+            for ti in (0..strips_i).step_by(gi) {
+                let ni = gi.min(strips_i - ti);
+                let mut apanels = [Panel::EMPTY; 2];
+                for (r, p) in apanels.iter_mut().enumerate().take(ni) {
+                    *p = a_panel(ti + r);
+                }
+                // Slot `(r, c)` of the group is parked tile `(ti + r, tj + c)`.
+                let slots = || (0..ni).flat_map(move |r| (0..nj).map(move |c| (r, c)));
+                let parked_at = |r: usize, c: usize| (ti + r) * strips_j + tj + c;
+                for (r, c) in slots() {
+                    group[r * 2 + c] = match parked.as_deref() {
+                        Some(parked) => parked[parked_at(r, c)],
+                        None => [[0.0; NR]; MR],
+                    };
+                }
+                run_group(g.path, &apanels[..ni], &bpanels[..nj], kc, &mut group);
+                for (r, c) in slots() {
+                    match parked.as_deref_mut() {
+                        Some(parked) => parked[parked_at(r, c)] = group[r * 2 + c],
+                        None => store(&group[r * 2 + c], i_lo + (ti + r) * MR, j0 + c * NR),
                     }
                 }
             }
@@ -1385,6 +1441,76 @@ mod tests {
                 }
             }
         }
+        if simd::avx512_detected() {
+            check_avx512_groups(k, &mut rng);
+        } else {
+            println!("microkernel_spellings_agree: no avx512f here, AVX-512 group check skipped");
+        }
+    }
+
+    /// Every tile group shape of the AVX-512 kernel (2x2, 2x1, 1x2, 1x1)
+    /// must reproduce the `ScalarFma` twin tile by tile, bit for bit, over
+    /// a mix of packed panels and panels read in place at source strides
+    /// (a group can pair a packed edge strip with an in-place one).
+    fn check_avx512_groups(k: usize, rng: &mut crate::rng::Pcg32) {
+        let mut draw =
+            |len: usize| -> Vec<f32> { (0..len).map(|_| rng.next_f32() - 0.5).collect() };
+        let a_packed = draw(k * MR);
+        let a_packed2 = draw(k * MR);
+        let a_rows = draw(MR * k); // row-major MR x k, read in place
+        let b_packed = draw(k * NR);
+        let b_rows = draw(k * (NR + 3)); // row-major k x (NR + 3)
+        let seed_tiles = draw(4 * MR * NR);
+        let in_place = Panel {
+            data: &a_rows,
+            lane_stride: k,
+            k_stride: 1,
+        };
+        let a_pairs = [
+            [Panel::packed_a(&a_packed), in_place],
+            [Panel::packed_a(&a_packed), Panel::packed_a(&a_packed2)],
+        ];
+        let b_panels = [
+            Panel::packed_b(&b_packed),
+            Panel {
+                data: &b_rows,
+                lane_stride: 1,
+                k_stride: NR + 3,
+            },
+        ];
+        let mut base: TileGroup = [[[0.0; NR]; MR]; 4];
+        for (v, &x) in base.iter_mut().flatten().flatten().zip(&seed_tiles) {
+            *v = x;
+        }
+        for a_panels in a_pairs {
+            for (ni, nj) in [(2, 2), (2, 1), (1, 2), (1, 1)] {
+                check_avx512_group(&a_panels[..ni], &b_panels[..nj], k, &base);
+            }
+        }
+    }
+
+    /// One group shape of [`check_avx512_groups`] at several step counts.
+    fn check_avx512_group(
+        a_panels: &[Panel<'_>],
+        b_panels: &[Panel<'_>],
+        k: usize,
+        base: &TileGroup,
+    ) {
+        let (ni, nj) = (a_panels.len(), b_panels.len());
+        let bits = |g: &TileGroup| -> Vec<u32> {
+            g.iter().flatten().flatten().map(|v| v.to_bits()).collect()
+        };
+        for kc in [0, 1, 7, k] {
+            let mut want = *base;
+            for (r, &a) in a_panels.iter().enumerate() {
+                for (c, &b) in b_panels.iter().enumerate() {
+                    microkernel_fma(a, b, kc, &mut want[r * 2 + c]);
+                }
+            }
+            let mut got = *base;
+            run_group(SimdPath::Avx512Fma, a_panels, b_panels, kc, &mut got);
+            assert_eq!(bits(&got), bits(&want), "avx512 {ni}x{nj} group, kc {kc}");
+        }
     }
 
     /// Every spelling must compute the same bits from operands read in
@@ -1420,35 +1546,32 @@ mod tests {
         if simd::fma_semantics() {
             paths.push(SimdPath::Avx2Fma);
         }
+        if simd::avx512_detected() {
+            paths.push(SimdPath::Avx512Fma);
+        }
+        // One tile through `run_group`, as every GEMM runs it.
+        let tile = |path, a, b, kc| {
+            let mut group: TileGroup = [[[0.0f32; NR]; MR]; 4];
+            run_group(path, &[a], &[b], kc, &mut group);
+            group[0]
+        };
         for path in paths {
-            let mut want = [[0.0f32; NR]; MR];
-            run_microkernel(
-                path,
-                Panel::packed_a(&apack),
-                Panel::packed_b(&bpack),
-                k,
-                &mut want,
-            );
+            let want = tile(path, Panel::packed_a(&apack), Panel::packed_b(&bpack), k);
             for (a_in, b_in) in [
                 (rows, Panel::packed_b(&bpack)),
                 (cols, b_rows),
                 (Panel::packed_a(&apack), b_rows),
             ] {
-                let mut got = [[0.0f32; NR]; MR];
-                run_microkernel(path, a_in, b_in, k, &mut got);
-                assert_eq!(got, want, "{path:?}");
+                assert_eq!(tile(path, a_in, b_in, k), want, "{path:?}");
             }
             // A panel cut short by 3 steps stops after the steps it holds.
             let short = Panel::packed_a(&apack[..(k - 3) * MR]);
-            let mut got = [[0.0f32; NR]; MR];
-            run_microkernel(path, short, Panel::packed_b(&bpack), k, &mut got);
-            let mut want_short = [[0.0f32; NR]; MR];
-            run_microkernel(
+            let got = tile(path, short, Panel::packed_b(&bpack), k);
+            let want_short = tile(
                 path,
                 Panel::packed_a(&apack),
                 Panel::packed_b(&bpack),
                 k - 3,
-                &mut want_short,
             );
             assert_eq!(got, want_short, "{path:?} short panel");
         }
@@ -1501,5 +1624,28 @@ mod tests {
             None,
         );
         assert!(c.iter().all(|&v| v == 5.0));
+        // Operands read in place past their first strip (`n` over one `B`
+        // strip, a transposed `A` over one row strip) hold no steps at
+        // `k = 0` and must not index the empty sources.
+        for layout in [Layout::Nn, Layout::Nt, Layout::Tn] {
+            let (m, n) = (2 * MR + 1, 2 * NR + 8);
+            let mut c = vec![5.0f32; m * n];
+            gemm(
+                &pool,
+                simd::active_path(),
+                layout,
+                1.0,
+                &[],
+                &[],
+                &mut c,
+                m,
+                0,
+                n,
+                Prologue::none(),
+                Epilogue::Overwrite,
+                None,
+            );
+            assert!(c.iter().all(|&v| v == 0.0), "{layout:?}");
+        }
     }
 }

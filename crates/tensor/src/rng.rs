@@ -114,15 +114,67 @@ impl Pcg32 {
     pub fn next_u32(&mut self) -> u32 {
         let old = self.state;
         self.state = old.wrapping_mul(Self::MULTIPLIER).wrapping_add(self.inc);
-        let xorshifted = (((old >> 18) ^ old) >> 27) as u32;
-        let rot = (old >> 59) as u32;
-        xorshifted.rotate_right(rot)
+        Self::output(old)
     }
 
     /// Returns a uniform `f32` in `[0, 1)`.
     #[inline]
     pub fn next_f32(&mut self) -> f32 {
-        (self.next_u32() >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
+        Self::unit_f32(self.next_u32())
+    }
+
+    /// Fills `out` with `map(self.next_f32())` for consecutive draws —
+    /// the same values, in the same order, as the sequential loop — and
+    /// leaves the generator in the state that loop would.
+    ///
+    /// The draws run on [`Self::FILL_LANES`] independent lanes: lane `j`
+    /// starts at state `s_j` and jumps ahead with
+    /// `s_{n+L} = M^L * s_n + C_L` (`M^L` and
+    /// `C_L = inc * (1 + M + … + M^(L-1))` in wrapping arithmetic), so the
+    /// lanes carry no dependency on each other and the loop vectorizes; a
+    /// sequential tail covers the last `len % L` draws.
+    pub fn fill_f32(&mut self, out: &mut [f32], map: impl Fn(f32) -> f32) {
+        const L: usize = Pcg32::FILL_LANES;
+        let (mut mul, mut add) = (1u64, 0u64);
+        for _ in 0..L {
+            add = add.wrapping_mul(Self::MULTIPLIER).wrapping_add(self.inc);
+            mul = mul.wrapping_mul(Self::MULTIPLIER);
+        }
+        let mut lanes = [self.state; L];
+        for j in 1..L {
+            lanes[j] = lanes[j - 1]
+                .wrapping_mul(Self::MULTIPLIER)
+                .wrapping_add(self.inc);
+        }
+        let mut chunks = out.chunks_exact_mut(L);
+        for chunk in &mut chunks {
+            for (v, s) in chunk.iter_mut().zip(lanes.iter_mut()) {
+                *v = map(Self::unit_f32(Self::output(*s)));
+                *s = s.wrapping_mul(mul).wrapping_add(add);
+            }
+        }
+        // Lane 0 now holds the state of the first draw not yet taken.
+        self.state = lanes[0];
+        for v in chunks.into_remainder() {
+            *v = map(self.next_f32());
+        }
+    }
+
+    /// Independent lanes of [`Self::fill_f32`].
+    pub const FILL_LANES: usize = 8;
+
+    /// The PCG-XSH-RR output permutation of one state.
+    #[inline]
+    fn output(old: u64) -> u32 {
+        let xorshifted = (((old >> 18) ^ old) >> 27) as u32;
+        let rot = (old >> 59) as u32;
+        xorshifted.rotate_right(rot)
+    }
+
+    /// The top 24 bits of a draw as a uniform `f32` in `[0, 1)`.
+    #[inline]
+    fn unit_f32(bits: u32) -> f32 {
+        (bits >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
     }
 
     /// Returns a uniform `f64` in `[0, 1)`.
@@ -192,6 +244,29 @@ mod tests {
         let mut b = Pcg32::new(1, 2);
         let same = (0..32).filter(|_| a.next_u32() == b.next_u32()).count();
         assert!(same < 4, "independent streams should rarely collide");
+    }
+
+    /// The laned fill must reproduce the sequential stream bit for bit
+    /// and leave the generator exactly where the sequential loop would.
+    #[test]
+    fn fill_f32_matches_the_sequential_stream() {
+        let map = |u: f32| (u * 2.0 - 1.0) * 0.75;
+        let lens = (0..=17).chain([12_800 * 256]);
+        for (i, len) in lens.enumerate() {
+            let mut seq = Pcg32::new(31 + i as u64, 7 + i as u64);
+            let mut laned = seq.clone();
+            let want: Vec<f32> = (0..len).map(|_| map(seq.next_f32())).collect();
+            let mut got = vec![f32::NAN; len];
+            laned.fill_f32(&mut got, map);
+            assert!(
+                want.iter()
+                    .zip(&got)
+                    .all(|(w, g)| w.to_bits() == g.to_bits()),
+                "len {len}: laned fill diverged from the sequential stream"
+            );
+            assert_eq!(laned, seq, "len {len}: generator state differs");
+            assert_eq!(laned.next_u32(), seq.next_u32(), "len {len}: next draw");
+        }
     }
 
     #[test]

@@ -80,9 +80,8 @@ impl Matrix {
 
     /// Creates a matrix with entries drawn uniformly from `[-scale, scale]`.
     pub fn random_uniform(rows: usize, cols: usize, scale: f32, rng: &mut Pcg32) -> Self {
-        let data = (0..rows * cols)
-            .map(|_| (rng.next_f32() * 2.0 - 1.0) * scale)
-            .collect();
+        let mut data = vec![0.0; rows * cols];
+        rng.fill_f32(&mut data, |u| (u * 2.0 - 1.0) * scale);
         Self { rows, cols, data }
     }
 

@@ -22,11 +22,16 @@
 //! per block instead of packing it whole: every layout, ragged row counts,
 //! the dropout+emit prologue and the `AddScaled`/`AddMasked` epilogues,
 //! both SIMD spellings and 1/2/4/8 threads, all against the naive
-//! reference.
+//! reference. A sixth runs every FMA spelling the host has — the scalar
+//! `mul_add` twin, AVX2 and AVX-512 — through the `_on_path` entry points
+//! over ragged shapes, every fusion hook (dropout+emit, softmax-grad,
+//! `Scaled`/`AddScaled`/`AddMasked`, the row-max sink) and 1/2/4/8
+//! threads, and asserts they all write the same bits.
 
 use lorafusion_tensor::matmul::{
-    gemm_fused_on, gemm_fused_on_path, gemm_nn_on, gemm_nt_on, gemm_tn_on, Accumulate, Epilogue,
-    Layout, Prologue, KC, MC, MR, NC, NR,
+    gemm_fused_on, gemm_fused_on_path, gemm_nn_on, gemm_nt_on, gemm_tn_on,
+    gemm_windows_rowmax_on_path, rowmax_partials_len, Accumulate, Epilogue, Layout, Prologue,
+    SoftmaxGradSpec, KC, MC, MR, NC, NR,
 };
 use lorafusion_tensor::ops;
 use lorafusion_tensor::pool::Pool;
@@ -584,6 +589,162 @@ fn narrow_shapes_match_naive_reference_on_every_path() {
                         .all(|(g, w)| g.to_bits() == w.to_bits()),
                     "{label} emitted X̂ differs from the materialized one"
                 );
+            }
+        }
+    }
+}
+
+/// One fusion configuration of the spelling-agreement sweep.
+#[derive(Clone, Copy, Debug)]
+enum Variant {
+    Overwrite,
+    Scaled,
+    AddScaled,
+    AddMasked,
+    DropoutEmit,
+    SoftmaxGrad,
+    RowMax,
+}
+
+const VARIANTS: [Variant; 7] = [
+    Variant::Overwrite,
+    Variant::Scaled,
+    Variant::AddScaled,
+    Variant::AddMasked,
+    Variant::DropoutEmit,
+    Variant::SoftmaxGrad,
+    Variant::RowMax,
+];
+
+/// Runs one `variant` GEMM on `path` and returns the bits of everything
+/// it writes: the output, the emitted `X̂` and the row-max partials.
+#[allow(clippy::too_many_arguments)] // one argument per sweep axis
+fn spelling_bits(
+    pool: &Pool,
+    path: SimdPath,
+    layout: Layout,
+    variant: Variant,
+    a: &Matrix,
+    b: &Matrix,
+    base: &Matrix,
+    seed: u64,
+) -> Vec<u32> {
+    let (m, n) = base.shape();
+    let k = a.len().checked_div(m).unwrap_or(0);
+    let spec = DropoutSpec::new(0.3, seed).with_row_offset(seed as usize % 5);
+    let mut c = base.clone();
+    let mut emit = vec![f32::NAN; a.len()];
+    let mut rowmax = vec![f32::NAN; rowmax_partials_len(m, n)];
+    let lse: Vec<f32> = (0..m).map(|i| 0.5 + (i % 7) as f32 * 0.25).collect();
+    let targets: Vec<u32> = (0..m).map(|i| (i * 31 % k.max(1)) as u32).collect();
+    let run = |c: &mut Matrix, prologue: Prologue<'_>, epilogue: Epilogue| {
+        gemm_fused_on_path(pool, path, layout, 1.0, a, b, c, prologue, epilogue).unwrap()
+    };
+    match variant {
+        Variant::Overwrite => run(&mut c, Prologue::none(), Epilogue::Overwrite),
+        Variant::Scaled => run(&mut c, Prologue::none(), Epilogue::Scaled(-0.625)),
+        Variant::AddScaled => run(&mut c, Prologue::none(), Epilogue::AddScaled(1.5)),
+        Variant::AddMasked => run(&mut c, Prologue::none(), Epilogue::AddMasked(spec)),
+        Variant::DropoutEmit => run(
+            &mut c,
+            Prologue {
+                dropout: Some(spec),
+                softmax_grad: None,
+                emit: Some(&mut emit),
+            },
+            Epilogue::Add,
+        ),
+        Variant::SoftmaxGrad => run(
+            &mut c,
+            Prologue::softmax_grad(SoftmaxGradSpec {
+                lse: &lse,
+                targets: &targets,
+                scale: 0.125,
+            }),
+            Epilogue::Overwrite,
+        ),
+        Variant::RowMax => gemm_windows_rowmax_on_path(
+            pool,
+            path,
+            layout,
+            1.0,
+            a.as_slice(),
+            b.as_slice(),
+            c.as_mut_slice(),
+            m,
+            k,
+            n,
+            Prologue::none(),
+            Epilogue::AddScaled(0.5),
+            &mut rowmax,
+        )
+        .unwrap(),
+    }
+    c.as_slice()
+        .iter()
+        .chain(&emit)
+        .chain(&rowmax)
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+/// The three FMA spellings — the scalar `mul_add` twin, the AVX2 kernel
+/// and the AVX-512 tile-group kernel — must write identical bits through
+/// the `_on_path` entry points, over ragged `m`/`n` around the 12x32 group
+/// and 6x16 tile edges, reductions from empty to past two `KC` blocks,
+/// every layout, every fusion hook, and 1/2/4/8 threads. Each case runs
+/// every spelling at a different thread count, so across the sweep every
+/// spelling meets every pool size, and all must agree. Hosts without
+/// `avx512f` print that the check was skipped (the forced on/off suite
+/// above still covers their two spellings).
+#[test]
+fn fma_spellings_are_bitwise_identical_on_every_hook() {
+    if !simd::avx512_detected() {
+        println!("fma_spellings_are_bitwise_identical_on_every_hook: no avx512f here, skipped");
+        return;
+    }
+    let spellings = simd::spellings();
+    assert_eq!(spellings.len(), 3, "{spellings:?}");
+    let threads = [1usize, 2, 4, 8];
+    let pools: Vec<Pool> = threads.iter().map(|&t| Pool::new(t)).collect();
+    let ms = [1usize, 5, 6, 7, 11, 12, 13, 125];
+    let ns = [1usize, 15, 16, 17, 31, 32, 33, 272];
+    let ks = [0usize, 1, 16, 256, 513, 1100];
+    let mut case = 0usize;
+    for &m in &ms {
+        for &n in &ns {
+            for layout in [Layout::Nn, Layout::Nt, Layout::Tn] {
+                let k = ks[case % ks.len()];
+                let variant = VARIANTS[case % VARIANTS.len()];
+                // A softmax-grad operand needs a target column below `k`.
+                let variant = match (variant, k) {
+                    (Variant::SoftmaxGrad, 0) => Variant::Scaled,
+                    (v, _) => v,
+                };
+                let seed = 20_000 + case as u64;
+                let (a, b) = layout_operands(layout, m, k, n, seed);
+                let base = Matrix::random_gaussian(m, n, 1.0, &mut Pcg32::seeded(seed + 1));
+                let runs: Vec<(SimdPath, usize, Vec<u32>)> = spellings
+                    .iter()
+                    .enumerate()
+                    .map(|(si, &path)| {
+                        let ti = (case + si) % threads.len();
+                        let bits =
+                            spelling_bits(&pools[ti], path, layout, variant, &a, &b, &base, seed);
+                        (path, threads[ti], bits)
+                    })
+                    .collect();
+                let (p0, t0, want) = &runs[0];
+                for (path, t, got) in &runs[1..] {
+                    assert!(
+                        got == want,
+                        "{} {m}x{k}x{n} {variant:?}: {} at t={t} differs from {} at t={t0}",
+                        layout.tag(),
+                        path.tag(),
+                        p0.tag()
+                    );
+                }
+                case += 1;
             }
         }
     }

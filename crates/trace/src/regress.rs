@@ -10,7 +10,8 @@
 //!   integers in [`KEY_FIELDS`]) form the row key — a row present in
 //!   the baseline must exist in the current results;
 //! * **provenance fields** ([`SKIP_FIELDS`]: host core counts, feature
-//!   strings, SIMD path) are informational and never compared;
+//!   strings, SIMD path, the FMA probe's peak and the rate quoted
+//!   against it) are informational and never compared;
 //! * **performance fields** (seconds, `*_ns`/`*_ms`, GFLOP/s, rates,
 //!   speedups — see [`classify`]) get a *relative tolerance band*,
 //!   direction-aware: only a worsening beyond the band fails, an
@@ -33,8 +34,15 @@ use crate::validate::{parse_json, Value};
 pub const KEY_FIELDS: [&str; 4] = ["threads", "queued_jobs", "num_events", "chunk_tokens"];
 
 /// Host-provenance fields: recorded for interpretability, never
-/// compared.
-pub const SKIP_FIELDS: [&str; 3] = ["host_cores", "detected_features", "simd_path"];
+/// compared. `peak_gflops` is a probe of the host, not of the code, and
+/// `pct_of_peak` is a row's `gflops` (compared on its own) over it.
+pub const SKIP_FIELDS: [&str; 5] = [
+    "host_cores",
+    "detected_features",
+    "simd_path",
+    "peak_gflops",
+    "pct_of_peak",
+];
 
 /// How a metric field is compared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -379,6 +387,8 @@ mod tests {
         assert_eq!(classify("gflops"), MetricClass::LowerWorse);
         assert_eq!(classify("packings_per_sec"), MetricClass::LowerWorse);
         assert_eq!(classify("speedup_vs_cold"), MetricClass::LowerWorse);
+        assert_eq!(classify("peak_gflops"), MetricClass::Skip);
+        assert_eq!(classify("pct_of_peak"), MetricClass::Skip);
         assert_eq!(classify("online_bins"), MetricClass::Exact);
         assert_eq!(classify("warm_start_prunes"), MetricClass::Exact);
         assert_eq!(classify("simd_path"), MetricClass::Skip);

@@ -79,7 +79,10 @@ fi
 # block. Run it once with SIMD forced off (the safe fallback path) and
 # once under the default dispatch, then diff the two files: the
 # explicit-SIMD kernel must be bitwise-equal to the fallback on every cell,
-# on this host, on every CI run.
+# on this host, on every CI run. On an AVX-512 host the default is the
+# AVX-512 kernel. Each run digests the bits of its own dispatch, and also
+# recomputes every cell on every FMA spelling the host has (scalar, AVX2,
+# AVX-512) in process and fails on any difference.
 step "bench_gemm dual-path SIMD gate (size 128)"
 if [[ "$QUICK" -eq 0 ]]; then
   LORAFUSION_SIMD=0 BENCH_GEMM_SIZE=128 BENCH_GEMM_WRITE=0 BENCH_GEMM_DIGEST="$DIGEST_TMP/fallback.txt" \
